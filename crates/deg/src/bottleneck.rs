@@ -24,14 +24,13 @@ use crate::critical::CriticalPath;
 use crate::graph::{Deg, EdgeKind, Stage};
 use archx_sim::config::L1_HIT_CYCLES;
 use archx_sim::trace::{FuKind, ResourceKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of bottleneck sources (the length of [`BottleneckSource::ALL`]).
 pub const NUM_SOURCES: usize = 20;
 
 /// Everything a critical-path cycle can be blamed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BottleneckSource {
     /// Reorder buffer entries.
     Rob,
@@ -171,7 +170,7 @@ fn fu_source(kind: FuKind) -> BottleneckSource {
 }
 
 /// A bottleneck analysis report: per-source contributions `c(b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckReport {
     /// Contribution per source, indexed as [`BottleneckSource::ALL`];
     /// fractions of the critical-path length, each in `[0, 1]`.

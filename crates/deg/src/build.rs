@@ -7,20 +7,12 @@
 //! simulator's scoreboard — which instruction's release of which entry
 //! unblocked each stall.
 
-use crate::arena::DegArena;
 use crate::graph::{Deg, EdgeKind, Stage};
 use archx_sim::trace::{InstrIdx, SimResult, NO_INSTR};
 
 /// Builds the new-formulation DEG for a full simulation result.
 pub fn build_deg(result: &SimResult) -> Deg {
     build_deg_window(result, 0, result.trace.events.len())
-}
-
-/// Like [`build_deg`], but recycles graph storage from `arena` instead of
-/// allocating it — the campaign hot path. Hand the graph back with
-/// [`DegArena::recycle`] once analysis is done.
-pub fn build_deg_in(arena: &mut DegArena, result: &SimResult) -> Deg {
-    build_deg_window_in(arena, result, 0, result.trace.events.len())
 }
 
 /// Builds the DEG over the half-open instruction window `[start, end)`.
@@ -33,37 +25,48 @@ pub fn build_deg_in(arena: &mut DegArena, result: &SimResult) -> Deg {
 ///
 /// Panics if the window is out of bounds or empty.
 pub fn build_deg_window(result: &SimResult, start: usize, end: usize) -> Deg {
-    build_deg_window_in(&mut DegArena::new(), result, start, end)
+    let mut deg = Deg::default();
+    build_deg_into(result, start, end, &mut deg);
+    deg
 }
 
-/// Windowed variant of [`build_deg_in`]; see [`build_deg_window`].
+/// Like [`build_deg_window`], but overwrites `deg` in place: whatever graph
+/// it held is discarded, and its vertex, edge and CSR storage is reused.
+/// The result equals what [`build_deg_window`] returns.
+///
+/// ```
+/// use archx_deg::{build::build_deg_into, build_deg, critical_path, induce, Deg};
+/// use archx_sim::{trace_gen, MicroArch, OooCore};
+/// let core = OooCore::new(MicroArch::baseline());
+/// let mut deg = Deg::default();
+/// for n in [800, 300] {
+///     let result = core.run(&trace_gen::mixed_workload(n, 1)).expect("simulates");
+///     build_deg_into(&result, 0, n, &mut deg);
+///     assert_eq!(deg, build_deg(&result));
+///     let mut induced = induce(std::mem::take(&mut deg));
+///     assert_eq!(critical_path(&mut induced).total_delay, result.trace.cycles);
+///     deg = induced; // hand the storage back for the next round
+/// }
+/// ```
 ///
 /// # Panics
 ///
 /// Panics if the window is out of bounds or empty.
-pub fn build_deg_window_in(
-    arena: &mut DegArena,
-    result: &SimResult,
-    start: usize,
-    end: usize,
-) -> Deg {
+pub fn build_deg_into(result: &SimResult, start: usize, end: usize, deg: &mut Deg) {
     assert!(
         start < end && end <= result.trace.events.len(),
         "bad window"
     );
     let _timed = archx_telemetry::span("deg/build");
     let events = &result.trace.events[start..end];
-    let n = events.len() as u32;
-
-    let mut parts = arena.take_parts();
-    parts.times.clear();
-    parts.times.reserve((n * 10) as usize);
-    for ev in events {
-        parts.times.extend_from_slice(&[
-            ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
-        ]);
-    }
-    let mut deg = Deg::from_parts(n, parts);
+    deg.reset(
+        events.len() as u32,
+        events.iter().flat_map(|ev| {
+            [
+                ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
+            ]
+        }),
+    );
 
     let in_window = |idx: InstrIdx| -> Option<InstrIdx> {
         if idx == NO_INSTR {
@@ -142,7 +145,6 @@ pub fn build_deg_window_in(
             );
         }
     }
-    deg
 }
 
 #[cfg(test)]
@@ -235,6 +237,35 @@ mod tests {
             has_resource,
             "a tiny machine on a memory-bound trace must stall on resources"
         );
+    }
+
+    #[test]
+    fn in_place_build_over_a_larger_graph_matches_the_fresh_path() {
+        use crate::critical::critical_path;
+        use crate::induced::induce;
+        let mut reused = Deg::default();
+        for (n, seed) in [(1_500usize, 3u64), (400, 5), (900, 7)] {
+            let result = OooCore::new(MicroArch::baseline())
+                .run(&trace_gen::mixed_workload(n, seed))
+                .expect("simulates");
+            // The reference runs on a new thread, so its critical-path
+            // scratch starts empty too.
+            let (fresh, fresh_path) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut deg = induce(build_deg(&result));
+                    let path = critical_path(&mut deg);
+                    (deg, path)
+                })
+                .join()
+                .expect("reference thread")
+            });
+            build_deg_into(&result, 0, n, &mut reused);
+            let mut warm = induce(reused);
+            let warm_path = critical_path(&mut warm);
+            assert_eq!(fresh, warm, "in-place DEG must equal the fresh one");
+            assert_eq!(fresh_path, warm_path);
+            reused = warm;
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! `F1(I0)` (time 0) whenever the induced DEG connects it, making the
 //! critical-path length exactly the simulated runtime.
 
-use crate::arena::DegArena;
-use crate::graph::{Deg, Edge, NodeId, Stage};
+use crate::graph::{Deg, Edge, EdgeKind, NodeId, Stage};
 use archx_sim::trace::Cycle;
+use std::cell::RefCell;
 
 /// A constructed critical path.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,107 +43,53 @@ impl CriticalPath {
     }
 }
 
+/// Algorithm 1's per-node arrays and the topological-order buffers. They
+/// are as large as the graph and sized afresh on every call, so each
+/// thread keeps one set and reuses its allocations.
+#[derive(Default)]
+struct Scratch {
+    cost: Vec<u64>,
+    delay: Vec<u64>,
+    attr: Vec<u64>,
+    pred: Vec<Option<Edge>>,
+    topo_counts: Vec<u32>,
+    topo_order: Vec<NodeId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Writes the vertices of `deg` into `order` in topological order, the
+/// same order as [`Deg::topo_order`]. A counting sort over event times:
+/// node ids already encode `(instruction, stage)` lexicographically, so a
+/// stable id-order pass within each time bucket yields the full key order
+/// in O(V + T).
+fn topo_sort(deg: &Deg, counts: &mut Vec<u32>, order: &mut Vec<NodeId>) {
+    let times = deg.times();
+    let max_t = times.iter().copied().max().unwrap_or(0) as usize;
+    counts.clear();
+    counts.resize(max_t + 2, 0);
+    for &t in times {
+        counts[t as usize + 1] += 1;
+    }
+    for i in 0..=max_t {
+        counts[i + 1] += counts[i];
+    }
+    order.clear();
+    order.resize(times.len(), 0);
+    for (id, &t) in times.iter().enumerate() {
+        order[counts[t as usize] as usize] = id as NodeId;
+        counts[t as usize] += 1;
+    }
+}
+
 /// Runs Algorithm 1 on an induced DEG and returns the critical path ending
 /// at the last instruction's commit.
 ///
-/// This is the no-clone entry point: it reuses the graph's storage and
-/// only mutates it by building (and caching) its CSR edge index. Call
-/// sites that cannot borrow the graph mutably can use
-/// [`critical_path_cloned`], which pays for a full graph copy.
-///
-/// # Panics
-///
-/// Panics on an empty graph.
-pub fn critical_path(deg: &mut Deg) -> CriticalPath {
-    critical_path_in(&mut DegArena::new(), deg)
-}
-
-/// Like [`critical_path`], but borrows the dynamic-program arrays and the
-/// topological-order buffers from `arena` instead of allocating them — the
-/// campaign hot path. The result is identical to [`critical_path`].
-///
-/// # Panics
-///
-/// Panics on an empty graph.
-pub fn critical_path_in(arena: &mut DegArena, deg: &mut Deg) -> CriticalPath {
-    assert!(deg.instr_count() > 0, "empty DEG");
-    let _timed = archx_telemetry::span("deg/critical");
-    deg.freeze();
-    let n = deg.node_count();
-    // DP value per node: (cost, delay, attributed delay). Cost implements
-    // Algorithm 1; delay pulls the path origin back to time zero; the
-    // attributed-delay tie-break prefers spans covered by real dependence
-    // and pipeline edges over virtual hops, so attribution loses as little
-    // of the runtime as possible.
-    let DegArena {
-        cost,
-        delay,
-        attr,
-        pred,
-        topo_counts,
-        topo_order,
-        ..
-    } = arena;
-    cost.clear();
-    cost.resize(n, 0u64);
-    delay.clear();
-    delay.resize(n, 0u64);
-    attr.clear();
-    attr.resize(n, 0u64);
-    pred.clear();
-    pred.resize(n, None);
-    deg.topo_order_into(topo_counts, topo_order);
-
-    for &node in topo_order.iter() {
-        let c0 = cost[node as usize];
-        let d0 = delay[node as usize];
-        let a0 = attr[node as usize];
-        for e in deg.out_edges(node) {
-            let w = deg.interval(e);
-            let ec = if e.kind.has_cost() { w } else { 0 };
-            let ea = if e.kind == crate::graph::EdgeKind::Virtual {
-                0
-            } else {
-                w
-            };
-            let (nc, nd, na) = (c0 + ec, d0 + w, a0 + ea);
-            let t = e.to as usize;
-            if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
-                cost[t] = nc;
-                delay[t] = nd;
-                attr[t] = na;
-                pred[t] = Some(*e);
-            }
-        }
-    }
-
-    let sink = deg.node(deg.instr_count() - 1, Stage::C);
-    let mut edges = Vec::new();
-    let mut cur = sink;
-    while let Some(e) = pred[cur as usize] {
-        edges.push(e);
-        cur = e.from;
-        assert!(
-            edges.len() <= deg.edge_count(),
-            "cycle in DEG predecessor chain — a non-forward edge slipped in"
-        );
-    }
-    edges.reverse();
-    CriticalPath {
-        cost: cost[sink as usize],
-        total_delay: delay[sink as usize],
-        start: cur,
-        end: sink,
-        edges,
-    }
-}
-
-/// Like [`critical_path`], for call sites that only hold a shared
-/// reference: **clones the entire graph** to build its CSR cache. On a
-/// multi-thousand-node DEG the copy dwarfs the DP itself, so every hot
-/// path should borrow mutably and call [`critical_path`] — the CSR
-/// default, which freezes the edge index in place and allocates nothing
-/// beyond the DP arrays — and reserve this variant for cold paths.
+/// The graph is only mutated by building (and caching) its CSR edge
+/// index. The dynamic-program arrays live in per-thread scratch that is
+/// reused across calls.
 ///
 /// ```
 /// use archx_sim::{MicroArch, OooCore, trace_gen};
@@ -152,17 +98,82 @@ pub fn critical_path_in(arena: &mut DegArena, deg: &mut Deg) -> CriticalPath {
 /// let result = OooCore::new(MicroArch::baseline())
 ///     .run(&trace_gen::mixed_workload(500, 1))
 ///     .expect("simulates");
-/// let induced = induce(build_deg(&result));
-/// // Shared reference only: pays a full graph copy per call.
-/// let cloned = critical_path_cloned(&induced);
-/// // The CSR default borrows mutably and reuses the graph's storage.
-/// let mut owned = induced;
-/// assert_eq!(critical_path(&mut owned), cloned);
-/// assert_eq!(cloned.total_delay, result.trace.cycles);
+/// let mut induced = induce(build_deg(&result));
+/// let path = critical_path(&mut induced);
+/// assert_eq!(path.total_delay, result.trace.cycles);
 /// ```
-pub fn critical_path_cloned(deg: &Deg) -> CriticalPath {
-    let mut deg = deg.clone();
-    critical_path(&mut deg)
+///
+/// # Panics
+///
+/// Panics on an empty graph.
+pub fn critical_path(deg: &mut Deg) -> CriticalPath {
+    assert!(deg.instr_count() > 0, "empty DEG");
+    let _timed = archx_telemetry::span("deg/critical");
+    deg.freeze();
+    SCRATCH.with_borrow_mut(|scratch| {
+        let Scratch {
+            cost,
+            delay,
+            attr,
+            pred,
+            topo_counts,
+            topo_order,
+        } = scratch;
+        // DP value per node: (cost, delay, attributed delay). Cost
+        // implements Algorithm 1; delay pulls the path origin back to time
+        // zero; the attributed-delay tie-break prefers spans covered by
+        // real dependence and pipeline edges over virtual hops, so
+        // attribution loses as little of the runtime as possible.
+        let n = deg.node_count();
+        cost.clear();
+        cost.resize(n, 0u64);
+        delay.clear();
+        delay.resize(n, 0u64);
+        attr.clear();
+        attr.resize(n, 0u64);
+        pred.clear();
+        pred.resize(n, None);
+        topo_sort(deg, topo_counts, topo_order);
+
+        for &node in topo_order.iter() {
+            let c0 = cost[node as usize];
+            let d0 = delay[node as usize];
+            let a0 = attr[node as usize];
+            for e in deg.out_edges(node) {
+                let w = deg.interval(e);
+                let ec = if e.kind.has_cost() { w } else { 0 };
+                let ea = if e.kind == EdgeKind::Virtual { 0 } else { w };
+                let (nc, nd, na) = (c0 + ec, d0 + w, a0 + ea);
+                let t = e.to as usize;
+                if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
+                    cost[t] = nc;
+                    delay[t] = nd;
+                    attr[t] = na;
+                    pred[t] = Some(*e);
+                }
+            }
+        }
+
+        let sink = deg.node(deg.instr_count() - 1, Stage::C);
+        let mut edges = Vec::new();
+        let mut cur = sink;
+        while let Some(e) = pred[cur as usize] {
+            edges.push(e);
+            cur = e.from;
+            assert!(
+                edges.len() <= deg.edge_count(),
+                "cycle in DEG predecessor chain — a non-forward edge slipped in"
+            );
+        }
+        edges.reverse();
+        CriticalPath {
+            cost: cost[sink as usize],
+            total_delay: delay[sink as usize],
+            start: cur,
+            end: sink,
+            edges,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -176,6 +187,19 @@ mod tests {
         let r = OooCore::new(arch).run(trace).expect("simulates");
         let mut deg = induce(build_deg(&r));
         (critical_path(&mut deg), r.trace.cycles)
+    }
+
+    #[test]
+    fn counting_sort_matches_topo_order() {
+        let r = OooCore::new(MicroArch::baseline())
+            .run(&trace_gen::mixed_workload(600, 2))
+            .expect("simulates");
+        let deg = induce(build_deg(&r));
+        // Stale, longer buffers must not leak into the result.
+        let mut counts = vec![7; 50_000];
+        let mut order = vec![3; 50_000];
+        topo_sort(&deg, &mut counts, &mut order);
+        assert_eq!(order, deg.topo_order());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! vertices".
 
 use archx_sim::trace::{Cycle, FuKind, InstrIdx, ResourceKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Vertex identifier.
@@ -19,7 +18,7 @@ pub type NodeId = u32;
 /// `M` exists for every instruction to keep the vertex layout uniform; for
 /// non-memory instructions its time equals the issue time, making the
 /// `I→M` edge a zero-interval pipeline edge (the paper's `I(i)→P(i)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// I-cache request.
     F1,
@@ -87,7 +86,7 @@ pub const STAGES_PER_INSTR: u32 = 10;
 
 /// Edge types of the new DEG formulation (Table 2) plus the induced DEG's
 /// virtual edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Horizontal pipeline dependence within one instruction.
     Pipeline,
@@ -140,7 +139,7 @@ impl EdgeKind {
 }
 
 /// A directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source vertex.
     pub from: NodeId,
@@ -155,8 +154,10 @@ pub struct Edge {
 /// Construction: [`Deg::new`] fixes the vertex set (10 stages per
 /// instruction with their event times); [`Deg::add_edge`] appends edges
 /// (which must go forward in the topological key order); analysis passes
-/// then use [`Deg::topo_order`] and [`Deg::out_edges`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// then use [`Deg::topo_order`] and [`Deg::out_edges`]. The default value
+/// is an empty graph, ready to be overwritten by
+/// [`build_deg_into`](crate::build::build_deg_into).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Deg {
     /// Event time per vertex, indexed by `NodeId`.
     times: Vec<Cycle>,
@@ -165,21 +166,9 @@ pub struct Deg {
     /// Number of instructions in the window.
     instrs: u32,
     /// CSR over outgoing edges, built lazily by `freeze`.
-    #[serde(skip)]
     csr_starts: Vec<u32>,
     /// Edge indices sorted by source, aligned with `csr_starts`.
-    #[serde(skip)]
     csr_edges: Vec<u32>,
-}
-
-/// Raw graph storage in transit between a consumed [`Deg`] and the next
-/// one built from the same arena (capacities preserved, contents stale).
-#[derive(Debug, Default)]
-pub(crate) struct DegParts {
-    pub(crate) times: Vec<Cycle>,
-    pub(crate) edges: Vec<Edge>,
-    pub(crate) csr_starts: Vec<u32>,
-    pub(crate) csr_edges: Vec<u32>,
 }
 
 impl Deg {
@@ -207,38 +196,23 @@ impl Deg {
         }
     }
 
-    /// Rebuilds a graph from recycled storage (see
-    /// [`DegArena`](crate::arena::DegArena)): semantically identical to
-    /// [`Deg::new`] but every vector keeps its prior capacity. The edge
-    /// list and CSR buffers are cleared here; `times` must already hold the
-    /// new vertex times.
-    pub(crate) fn from_parts(instrs: u32, mut parts: DegParts) -> Self {
-        assert_eq!(
-            parts.times.len(),
-            (instrs * STAGES_PER_INSTR) as usize,
-            "expected {} vertex times",
-            instrs * STAGES_PER_INSTR
-        );
-        parts.edges.clear();
-        parts.csr_starts.clear();
-        parts.csr_edges.clear();
-        Deg {
-            times: parts.times,
-            edges: parts.edges,
-            instrs,
-            csr_starts: parts.csr_starts,
-            csr_edges: parts.csr_edges,
-        }
-    }
-
-    /// Decomposes the graph into its raw storage for recycling.
-    pub(crate) fn into_parts(self) -> DegParts {
-        DegParts {
-            times: self.times,
-            edges: self.edges,
-            csr_starts: self.csr_starts,
-            csr_edges: self.csr_edges,
-        }
+    /// Overwrites the graph in place with `instrs` instructions whose
+    /// vertex times come from `times`, dropping every edge: the in-place
+    /// counterpart of [`Deg::new`]. Every buffer keeps its capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `times` yields the wrong number of entries.
+    pub(crate) fn reset(&mut self, instrs: u32, times: impl IntoIterator<Item = Cycle>) {
+        let n = (instrs * STAGES_PER_INSTR) as usize;
+        self.times.clear();
+        self.times.reserve(n);
+        self.times.extend(times);
+        assert_eq!(self.times.len(), n, "expected {n} vertex times");
+        self.edges.clear();
+        self.csr_starts.clear();
+        self.csr_edges.clear();
+        self.instrs = instrs;
     }
 
     /// Number of instructions covered.
@@ -272,6 +246,11 @@ impl Deg {
     /// Event time of a vertex.
     pub fn time(&self, node: NodeId) -> Cycle {
         self.times[node as usize]
+    }
+
+    /// Event times of all vertices, indexed by `NodeId`.
+    pub(crate) fn times(&self) -> &[Cycle] {
+        &self.times
     }
 
     /// Measured interval (edge weight) of an edge.
@@ -316,48 +295,17 @@ impl Deg {
 
     /// Vertices sorted topologically (by `(time, instruction, stage)`).
     ///
-    /// Implemented as a counting sort over event times: node ids already
-    /// encode `(instruction, stage)` lexicographically, so a stable
-    /// id-order pass within each time bucket yields the full key order in
-    /// O(V + T) instead of a comparison sort.
+    /// Node ids already encode `(instruction, stage)` lexicographically,
+    /// so sorting by `(time, id)` yields the full key order.
     pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut counts = Vec::new();
-        let mut order = Vec::new();
-        self.topo_order_into(&mut counts, &mut order);
+        let mut order: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
+        order.sort_unstable_by_key(|&id| (self.time(id), id));
         order
-    }
-
-    /// Allocation-free variant of [`Deg::topo_order`]: writes the order
-    /// into `order`, using `counts` as counting-sort scratch. Both vectors
-    /// are cleared and resized, keeping their capacity — the arena-reuse
-    /// path of [`critical_path_in`](crate::critical::critical_path_in).
-    pub fn topo_order_into(&self, counts: &mut Vec<u32>, order: &mut Vec<NodeId>) {
-        order.clear();
-        let n = self.node_count();
-        if n == 0 {
-            return;
-        }
-        let max_t = *self.times.iter().max().expect("non-empty") as usize;
-        counts.clear();
-        counts.resize(max_t + 2, 0);
-        for &t in &self.times {
-            counts[t as usize + 1] += 1;
-        }
-        for i in 0..=max_t {
-            counts[i + 1] += counts[i];
-        }
-        order.resize(n, 0);
-        for id in 0..n as NodeId {
-            let t = self.times[id as usize] as usize;
-            order[counts[t] as usize] = id;
-            counts[t] += 1;
-        }
     }
 
     /// Builds (if needed) and returns CSR access to outgoing edges.
     ///
-    /// The CSR buffers are reused in place (capacity kept) when the graph
-    /// came from recycled storage.
+    /// The CSR buffers are rebuilt in place, keeping their capacity.
     pub fn freeze(&mut self) {
         if !self.csr_starts.is_empty() {
             return;

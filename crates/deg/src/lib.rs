@@ -35,7 +35,6 @@
 //! assert_eq!(path.total_delay, result.trace.cycles);
 //! ```
 
-pub mod arena;
 pub mod bottleneck;
 pub mod build;
 pub mod calipers;
@@ -48,12 +47,9 @@ pub mod validate;
 
 /// Convenient re-exports of the main entry points.
 pub mod prelude {
-    pub use crate::arena::DegArena;
     pub use crate::bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
-    pub use crate::build::{build_deg, build_deg_in};
-    pub use crate::critical::{
-        critical_path, critical_path_cloned, critical_path_in, CriticalPath,
-    };
+    pub use crate::build::build_deg;
+    pub use crate::critical::{critical_path, CriticalPath};
     pub use crate::graph::{Deg, EdgeKind, NodeId, Stage};
     pub use crate::induced::induce;
     pub use crate::validate::{
@@ -62,11 +58,10 @@ pub mod prelude {
     };
 }
 
-pub use arena::DegArena;
 pub use bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
-pub use build::{build_deg, build_deg_in};
+pub use build::build_deg;
 pub use calipers::CalipersModel;
-pub use critical::{critical_path, critical_path_cloned, critical_path_in, CriticalPath};
+pub use critical::{critical_path, CriticalPath};
 pub use graph::{Deg, Edge, EdgeKind, NodeId, Stage};
 pub use induced::induce;
 pub use validate::{

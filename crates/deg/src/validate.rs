@@ -3,9 +3,9 @@
 //! The paper's method rests on two exact identities — the DEG is acyclic
 //! with every edge weight equal to a measured stage interval (Table 2),
 //! and Algorithm 1's critical-path length equals the simulated runtime.
-//! This module machine-checks both, plus the agreement of the independent
-//! implementations grown across PRs (allocating vs arena builders, CSR vs
-//! cloned critical path), forming the oracle hierarchy every later
+//! This module machine-checks both, plus the agreement of the in-place
+//! and allocating paths (a graph rebuilt over another window's storage vs
+//! a freshly allocated one), forming the oracle hierarchy every later
 //! optimisation must pass:
 //!
 //! 1. [`validate_deg`] — structure: acyclicity (every edge forward in the
@@ -15,17 +15,16 @@
 //! 2. [`validate_times`] — the graph's vertex times are exactly the
 //!    simulator's event record (with implicit weights, this *is* the
 //!    weight/interval consistency of Table 2);
-//! 3. [`validate_exactness`] — the end-to-end oracle: builders agree,
-//!    structure holds before and after inducing, `critical_path_in`
-//!    agrees with `critical_path_cloned`, and the path length equals
-//!    `SimResult` cycles.
+//! 3. [`validate_exactness`] — the end-to-end oracle: the in-place builder
+//!    agrees with the allocating one, structure holds before and after
+//!    inducing, Algorithm 1 on reused storage agrees with Algorithm 1 on a
+//!    cold thread, and the path length equals `SimResult` cycles.
 //!
 //! Every failure increments a `verify/violation/<check>` telemetry
 //! counter and carries a stable machine-readable tag.
 
-use crate::arena::DegArena;
-use crate::build::{build_deg_window, build_deg_window_in};
-use crate::critical::{critical_path_cloned, critical_path_in, CriticalPath};
+use crate::build::{build_deg_into, build_deg_window};
+use crate::critical::{critical_path, CriticalPath};
 use crate::graph::{Deg, EdgeKind, Stage};
 use crate::induced::induce;
 use archx_sim::trace::SimResult;
@@ -173,17 +172,19 @@ pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(),
 }
 
 /// The end-to-end oracle over a full simulation result: builds the DEG
-/// both ways (allocating and arena-recycled), validates structure and
-/// times before and after inducing, cross-checks `critical_path_in`
-/// against `critical_path_cloned`, and requires the path length to equal
-/// the simulated runtime exactly. Returns the critical path for reuse.
+/// in place over storage that held a different window and checks it
+/// against a freshly allocated build, validates structure and times
+/// before and after inducing, runs Algorithm 1 right after a run on that
+/// other window and checks it against a run on a new thread (whose
+/// scratch starts empty), and requires the path length to equal the
+/// simulated runtime exactly. Returns the critical path for reuse.
 ///
 /// # Errors
 ///
 /// Returns the first failing check: any [`validate_deg`] /
-/// [`validate_times`] tag, `deg/builders` (allocating vs arena builder
-/// divergence), `deg/csr_vs_cloned` (critical-path implementation
-/// divergence) or `deg/exactness` (path length != runtime).
+/// [`validate_times`] tag, `deg/builders` (in-place vs allocating builder
+/// divergence), `deg/csr_vs_cloned` (Algorithm 1 on reused vs cold
+/// storage divergence) or `deg/exactness` (path length != runtime).
 ///
 /// # Panics
 ///
@@ -209,16 +210,31 @@ pub fn validate_exactness_window(
     start: usize,
     end: usize,
 ) -> Result<CriticalPath, ValidationError> {
-    let mut arena = DegArena::new();
-    let built = build_deg_window_in(&mut arena, result, start, end);
-    let naive = build_deg_window(result, start, end);
-    if built != naive {
+    let len = result.trace.events.len();
+    let full = start == 0 && end == len;
+    // The reference: a fresh graph, and Algorithm 1 on a new thread.
+    let fresh = build_deg_window(result, start, end);
+    let cold = std::thread::scope(|s| {
+        s.spawn(|| critical_path(&mut induce(fresh.clone())))
+            .join()
+            .expect("critical path on a new thread")
+    });
+
+    // Stale content: the graph of a different window (the whole trace,
+    // or its second half when the window is the whole trace), induced and
+    // run through Algorithm 1, so both the graph storage and this
+    // thread's Algorithm 1 scratch hold another graph.
+    let (other_start, other_end) = if full { (len / 2, len) } else { (0, len) };
+    let mut built = induce(build_deg_window(result, other_start, other_end));
+    critical_path(&mut built);
+    build_deg_into(result, start, end, &mut built);
+    if built != fresh {
         return Err(fail(
             "deg/builders",
             format!(
-                "arena builder produced {} edges, allocating builder {}",
+                "in-place builder produced {} edges, allocating builder {}",
                 built.edge_count(),
-                naive.edge_count()
+                fresh.edge_count()
             ),
         ));
     }
@@ -229,19 +245,17 @@ pub fn validate_exactness_window(
     validate_deg(&induced)?;
     validate_times(&induced, result, start)?;
 
-    let cloned = critical_path_cloned(&induced);
-    let path = critical_path_in(&mut arena, &mut induced);
-    if path != cloned {
+    let path = critical_path(&mut induced);
+    if path != cold {
         return Err(fail(
             "deg/csr_vs_cloned",
             format!(
-                "critical_path_in found (cost {}, delay {}), critical_path_cloned \
-                 (cost {}, delay {})",
-                path.cost, path.total_delay, cloned.cost, cloned.total_delay
+                "Algorithm 1 on reused storage found (cost {}, delay {}), on a cold \
+                 thread (cost {}, delay {})",
+                path.cost, path.total_delay, cold.cost, cold.total_delay
             ),
         ));
     }
-    let full = start == 0 && end == result.trace.events.len();
     if full && path.total_delay != result.trace.cycles {
         return Err(fail(
             "deg/exactness",

@@ -28,21 +28,20 @@ use crate::baselines::ranker::RankerOptions;
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
-use crate::eval::{Evaluator, RunLog, SimLimits};
+use crate::eval::{Evaluator, EvaluatorBuilder, RunLog, SimLimits};
 use crate::governor::ThreadGovernor;
+use crate::lock;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
 use archx_telemetry::{self as telemetry, LabelledSink, ProgressSink};
 use archx_workloads::{TraceStore, Workload};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The DSE methods under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Bottleneck-removal-driven search with the new DEG (this paper).
     ArchExplorer,
@@ -148,6 +147,16 @@ pub fn build_evaluator_in(
     cfg: &CampaignConfig,
     store: Arc<TraceStore>,
 ) -> Evaluator {
+    evaluator_builder(suite, cfg, store).build()
+}
+
+/// The builder behind [`build_evaluator_in`], for callers that add more
+/// settings before building.
+fn evaluator_builder(
+    suite: &[Workload],
+    cfg: &CampaignConfig,
+    store: Arc<TraceStore>,
+) -> EvaluatorBuilder {
     Evaluator::builder(suite.to_vec())
         .window(cfg.instrs_per_workload)
         .seed(cfg.trace_seed.unwrap_or(cfg.seed))
@@ -158,7 +167,6 @@ pub fn build_evaluator_in(
             deadlock_watchdog: SimLimits::default().deadlock_watchdog,
         })
         .max_retries(cfg.max_retries)
-        .build()
 }
 
 /// Runs one method on a fresh evaluator over the given suite.
@@ -232,7 +240,7 @@ pub fn run_method_on(
 }
 
 /// One unit of campaign work: a method run under a specific search seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunSpec {
     /// The method to run.
     pub method: Method,
@@ -446,8 +454,9 @@ impl<'a> CampaignRunner<'a> {
                 ..cfg.clone()
             };
             let store = self.trace_store.clone().unwrap_or_else(TraceStore::global);
-            let evaluator =
-                build_evaluator_in(suite, &run_cfg, store).with_governor(Arc::clone(&governor));
+            let evaluator = evaluator_builder(suite, &run_cfg, store)
+                .governor(Arc::clone(&governor))
+                .build();
             if let Some(sink) = &self.sink {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
@@ -478,21 +487,24 @@ impl<'a> CampaignRunner<'a> {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<RunLog, CampaignError>>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..jobs {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= specs.len() {
                         break;
                     }
-                    *slots[i].lock() = Some(run_one(&specs[i]));
+                    *lock(&slots[i]) = Some(run_one(&specs[i]));
                 });
             }
-        })
-        .expect("campaign jobs do not panic");
+        });
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every spec ran"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every spec ran")
+            })
             .collect()
     }
 
@@ -556,7 +568,7 @@ impl<'a> CampaignRunner<'a> {
 }
 
 /// Result of a full campaign: one log per method.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Campaign {
     /// Per-method run logs.
     pub logs: Vec<RunLog>,
@@ -622,7 +634,7 @@ impl Campaign {
 /// Mean ± standard deviation of one method's hypervolume curve over
 /// several seeds (the paper's curves are single runs; seed sweeps add the
 /// error bars reviewers ask for).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepCurve {
     /// Method label.
     pub method: String,

@@ -23,42 +23,31 @@
 
 use crate::governor::ThreadGovernor;
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
+use crate::lock;
 use crate::pareto::{ExplorationSet, RefPoint};
-use archx_deg::{build_deg_in, critical, induce, merge_reports, BottleneckReport, DegArena};
+use archx_deg::build::build_deg_into;
+use archx_deg::{critical_path, induce, merge_reports, BottleneckReport, Deg};
 use archx_power::{PowerModel, PpaResult};
-use archx_sim::arena::SimArena;
 use archx_sim::isa::Instruction;
 use archx_sim::pipeline::DEADLOCK_WATCHDOG;
-use archx_sim::{Cycle, MicroArch, OooCore, SimError};
+use archx_sim::{Cycle, MicroArch, OooCore, SimError, SimResult};
 use archx_telemetry::{self as telemetry, Progress, ProgressSink};
 use archx_workloads::{TraceStore, Workload};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Per-worker-thread scratch memory for the evaluation hot path: the
-/// simulator's working set plus the DEG builder/critical-path buffers.
-/// Cleared (never reallocated) between evaluations; see the arena docs for
-/// the identity guarantee.
-#[derive(Default)]
-struct EvalArena {
-    sim: SimArena,
-    deg: DegArena,
-    used: bool,
-}
-
 thread_local! {
-    /// One arena per worker thread. Campaign jobs evaluate with
-    /// `threads = 1` on a long-lived worker thread, so this persists
-    /// across the thousands of evaluations of a run — the intended hot
-    /// path. Threads spawned per-attempt (multi-threaded evaluators) get
-    /// fresh arenas and merely lose the reuse benefit.
-    static EVAL_ARENA: RefCell<EvalArena> = RefCell::new(EvalArena::default());
+    /// The last simulation result and DEG built on this thread, kept so
+    /// the next evaluation overwrites them in place instead of allocating
+    /// its event table and graph storage afresh. Per thread rather than
+    /// per evaluator: campaign jobs and one-shot callers alike often
+    /// build a fresh evaluator per run or per design on a long-lived
+    /// thread.
+    static BUFFERS: RefCell<(SimResult, Deg)> = RefCell::default();
 }
 
 /// Outcome of one workload's simulation attempt: its PPA and (when
@@ -66,7 +55,7 @@ thread_local! {
 type AttemptOutcome = Result<(PpaResult, Option<BottleneckReport>), EvalError>;
 
 /// Which bottleneck analysis to run alongside the simulations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Analysis {
     /// Simulation only.
     None,
@@ -77,7 +66,7 @@ pub enum Analysis {
 }
 
 /// Evaluation of one design over the whole suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignEval {
     /// Suite-average PPA (arithmetic mean of IPC and power; area is
     /// workload independent).
@@ -260,14 +249,13 @@ pub struct EvaluatorBuilder {
     limits: SimLimits,
     max_retries: u32,
     journal: Option<Journal>,
-    arena_reuse: bool,
 }
 
 impl EvaluatorBuilder {
     /// Starts a builder over `workloads` with the defaults the paper
     /// experiments use: a 20 000-instruction window, trace seed 1, all
     /// available threads, no governor, default [`SimLimits`], one retry,
-    /// the process-global trace store, and arena reuse on.
+    /// and the process-global trace store.
     pub fn new(workloads: Vec<Workload>) -> Self {
         EvaluatorBuilder {
             workloads,
@@ -279,7 +267,6 @@ impl EvaluatorBuilder {
             limits: SimLimits::default(),
             max_retries: 1,
             journal: None,
-            arena_reuse: true,
         }
     }
 
@@ -311,8 +298,13 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Subjects worker threads beyond the caller's to a shared
-    /// [`ThreadGovernor`]; see [`Evaluator::with_governor`].
+    /// Subjects this evaluator's worker threads to a shared
+    /// [`ThreadGovernor`]. The thread the caller evaluates on is always
+    /// allowed to work (campaign jobs hold a base permit for it); workers
+    /// *beyond* it are only spawned when the governor has spare permits,
+    /// so nested campaign parallelism never oversubscribes the configured
+    /// total. Results are identical with or without a governor — worker
+    /// count never changes what an evaluation produces.
     pub fn governor(mut self, governor: Arc<ThreadGovernor>) -> Self {
         self.governor = Some(governor);
         self
@@ -338,14 +330,6 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Toggles per-worker-thread scratch arenas for the sim/DEG hot path
-    /// (on by default). Results are byte-identical either way; off is
-    /// only useful for benchmarking the cold allocation path.
-    pub fn arena_reuse(mut self, on: bool) -> Self {
-        self.arena_reuse = on;
-        self
-    }
-
     /// Resolves every trace through the store (synthesising at most once
     /// per `(workload, seed, window)` key per store) and builds the
     /// evaluator.
@@ -366,7 +350,6 @@ impl EvaluatorBuilder {
             governor: self.governor,
             limits: self.limits,
             max_retries: self.max_retries,
-            arena_reuse: self.arena_reuse,
             sims: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
@@ -389,7 +372,6 @@ pub struct Evaluator {
     governor: Option<Arc<ThreadGovernor>>,
     limits: SimLimits,
     max_retries: u32,
-    arena_reuse: bool,
     sims: AtomicU64,
     retries: AtomicU64,
     cache: Mutex<HashMap<MicroArch, Result<DesignEval, EvalFailure>>>,
@@ -416,39 +398,6 @@ impl Evaluator {
         EvaluatorBuilder::new(workloads)
     }
 
-    /// Restricts worker threads (1 = fully serial, deterministic ordering
-    /// is preserved either way).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Subjects this evaluator's worker threads to a shared
-    /// [`ThreadGovernor`]. The thread the caller evaluates on is always
-    /// allowed to work (campaign jobs hold a base permit for it); workers
-    /// *beyond* it are only spawned when the governor has spare permits,
-    /// so nested campaign parallelism never oversubscribes the configured
-    /// total. Results are identical with or without a governor — worker
-    /// count never changes what an evaluation produces.
-    pub fn with_governor(mut self, governor: Arc<ThreadGovernor>) -> Self {
-        self.governor = Some(governor);
-        self
-    }
-
-    /// Applies per-simulation limits (cycle budget, deadlock watchdog) to
-    /// every run this evaluator makes.
-    pub fn with_limits(mut self, limits: SimLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Bounds how many times a retryable failure is retried (each retry
-    /// halves the instruction window again). Default: 1.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// The workload suite.
     pub fn workloads(&self) -> &[Workload] {
         &self.workloads
@@ -472,12 +421,12 @@ impl Evaluator {
 
     /// Snapshot of the quarantine log.
     pub fn quarantine(&self) -> Vec<QuarantineEntry> {
-        self.quarantine.lock().clone()
+        lock(&self.quarantine).clone()
     }
 
     /// Number of quarantined designs.
     pub fn quarantine_len(&self) -> usize {
-        self.quarantine.lock().len()
+        lock(&self.quarantine).len()
     }
 
     /// The configuration fingerprint a journal for this evaluator must
@@ -496,13 +445,13 @@ impl Evaluator {
     /// Attaches a write-ahead journal: every subsequent uncached
     /// evaluation is appended and flushed before its result is returned.
     pub fn set_journal(&self, journal: Journal) {
-        *self.journal.lock() = Some(journal);
+        *lock(&self.journal) = Some(journal);
     }
 
     /// The first journal-append error, if any occurred (appends never
     /// abort a campaign; the error is surfaced here instead).
     pub fn journal_error(&self) -> Option<String> {
-        self.journal_error.lock().clone()
+        lock(&self.journal_error).clone()
     }
 
     /// Replays journaled evaluations into the cache and the simulation
@@ -512,11 +461,11 @@ impl Evaluator {
         let replayed = records.len() as u64;
         let mut sims = 0u64;
         {
-            let mut cache = self.cache.lock();
+            let mut cache = lock(&self.cache);
             for rec in records {
                 sims += rec.sims_cost;
                 if let Err(failure) = &rec.outcome {
-                    self.quarantine.lock().push(QuarantineEntry {
+                    lock(&self.quarantine).push(QuarantineEntry {
                         arch: rec.arch,
                         workload: failure.workload.clone(),
                         error: failure.error.clone(),
@@ -534,7 +483,7 @@ impl Evaluator {
     /// Labels this evaluator's progress events (`source`, typically the
     /// search method's name) and the simulation budget they report against.
     pub fn set_progress_target(&self, source: impl Into<String>, sim_budget: u64) {
-        let mut meta = self.progress.lock();
+        let mut meta = lock(&self.progress);
         meta.source = source.into();
         meta.sim_budget = sim_budget;
     }
@@ -543,7 +492,7 @@ impl Evaluator {
     /// the global telemetry registry). One sink per evaluator; a second
     /// call replaces the first.
     pub fn set_progress_sink(&self, sink: Arc<dyn ProgressSink>) {
-        self.progress.lock().sink = Some(sink);
+        lock(&self.progress).sink = Some(sink);
     }
 
     /// Evaluates a design (simulation + PPA only, no bottleneck analysis).
@@ -570,7 +519,7 @@ impl Evaluator {
         arch: &MicroArch,
         analysis: Analysis,
     ) -> Result<DesignEval, EvalFailure> {
-        if let Some(hit) = self.cache.lock().get(arch) {
+        if let Some(hit) = lock(&self.cache).get(arch) {
             match hit {
                 Ok(eval) if analysis == Analysis::None || eval.analysis == analysis => {
                     telemetry::counter_add("eval/cache/hit", 1);
@@ -589,7 +538,7 @@ impl Evaluator {
         let outcome = self.evaluate_uncached(arch, analysis);
         let sims_cost = self.sim_count() - sims_before;
         if let Err(failure) = &outcome {
-            self.quarantine.lock().push(QuarantineEntry {
+            lock(&self.quarantine).push(QuarantineEntry {
                 arch: *arch,
                 workload: failure.workload.clone(),
                 error: failure.error.clone(),
@@ -598,7 +547,7 @@ impl Evaluator {
             telemetry::counter_add("eval/quarantine", 1);
             telemetry::counter_add(&format!("eval/failure/{}", failure.error.tag()), 1);
         }
-        self.cache.lock().insert(*arch, outcome.clone());
+        lock(&self.cache).insert(*arch, outcome.clone());
         self.journal_append(arch, analysis, sims_cost, &outcome);
         outcome
     }
@@ -610,7 +559,7 @@ impl Evaluator {
         sims_cost: u64,
         outcome: &Result<DesignEval, EvalFailure>,
     ) {
-        let mut guard = self.journal.lock();
+        let mut guard = lock(&self.journal);
         if let Some(journal) = guard.as_mut() {
             let rec = JournalRecord {
                 arch: *arch,
@@ -620,7 +569,7 @@ impl Evaluator {
             };
             if let Err(e) = journal.append(&rec) {
                 telemetry::counter_add("journal/error", 1);
-                let mut slot = self.journal_error.lock();
+                let mut slot = lock(&self.journal_error);
                 if slot.is_none() {
                     *slot = Some(e.to_string());
                 }
@@ -660,18 +609,17 @@ impl Evaluator {
         }
     }
 
-    /// Simulates one trace and runs the requested analysis, borrowing all
-    /// scratch memory from `arena`. Consumed buffers are recycled back
-    /// into the arena on every exit path that still owns them; a panic
-    /// mid-simulation loses the checked-out buffers (they regrow on the
-    /// next use), never corrupts them.
+    /// Simulates one trace and runs the requested analysis, overwriting
+    /// the simulation result and DEG in `bufs`. A panic midway leaves them
+    /// half-written, which is harmless: the next run overwrites them.
     fn run_workload(
         &self,
         arch: &MicroArch,
         analysis: Analysis,
         trace: &[Instruction],
-        arena: &mut EvalArena,
+        bufs: &mut (SimResult, Deg),
     ) -> Result<(PpaResult, Option<BottleneckReport>), EvalError> {
+        let (result, deg) = bufs;
         let mut core = OooCore::try_new(*arch)
             .map_err(EvalError::Sim)?
             .with_deadlock_watchdog(self.limits.deadlock_watchdog);
@@ -679,31 +627,28 @@ impl Evaluator {
             core = core.with_cycle_budget(budget);
         }
         let started = Instant::now();
-        let result = {
+        {
             let _timed = telemetry::span("simulate");
-            core.run_in(&mut arena.sim, trace).map_err(EvalError::Sim)?
-        };
+            core.run_into(trace, result).map_err(EvalError::Sim)?;
+        }
         telemetry::record("eval/sim_latency_us", started.elapsed().as_micros() as u64);
         result.stats.export_telemetry();
         let ppa = self.power.evaluate(arch, &result.stats);
         if !(ppa.ipc.is_finite() && ppa.power_w.is_finite() && ppa.area_mm2.is_finite()) {
-            arena.sim.recycle(result);
             return Err(EvalError::NonFinitePpa);
         }
         let report = match analysis {
             Analysis::None => None,
             Analysis::NewDeg => {
-                let mut deg = induce(build_deg_in(&mut arena.deg, &result));
-                let path = critical::critical_path_in(&mut arena.deg, &mut deg);
-                let report = archx_deg::bottleneck::analyze(&deg, &path);
-                arena.deg.recycle(deg);
+                build_deg_into(result, 0, result.trace.events.len(), deg);
+                let mut induced = induce(std::mem::take(deg));
+                let path = critical_path(&mut induced);
+                let report = archx_deg::bottleneck::analyze(&induced, &path);
+                *deg = induced;
                 Some(report)
             }
-            Analysis::Calipers => {
-                Some(archx_deg::CalipersModel::from_arch(arch).analyze(&result).1)
-            }
+            Analysis::Calipers => Some(archx_deg::CalipersModel::from_arch(arch).analyze(result).1),
         };
-        arena.sim.recycle(result);
         Ok((ppa, report))
     }
 
@@ -733,18 +678,7 @@ impl Evaluator {
             // regeneration (the synthesiser's stream is prefix-stable).
             let window = (full.len() / divisor).max(1).min(full.len());
             let trace = &full[..window];
-            if self.arena_reuse {
-                EVAL_ARENA.with(|cell| {
-                    let arena = &mut *cell.borrow_mut();
-                    if arena.used {
-                        telemetry::counter_add("arena/reuse", 1);
-                    }
-                    arena.used = true;
-                    self.run_workload(arch, analysis, trace, arena)
-                })
-            } else {
-                self.run_workload(arch, analysis, trace, &mut EvalArena::default())
-            }
+            BUFFERS.with_borrow_mut(|bufs| self.run_workload(arch, analysis, trace, bufs))
         };
         // A panicking worker must fail the design, not the campaign.
         let guarded = |i: usize| -> AttemptOutcome {
@@ -784,20 +718,19 @@ impl Evaluator {
                 (0..n).map(|_| Mutex::new(None)).collect();
             // The scope join itself cannot panic: every worker body is
             // wrapped in `catch_unwind` above.
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for _ in 0..workers {
-                    s.spawn(|_| loop {
+                    s.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed) as usize;
                         if i >= n {
                             break;
                         }
-                        *slots[i].lock() = Some(guarded(i));
+                        *lock(&slots[i]) = Some(guarded(i));
                     });
                 }
-            })
-            .expect("workers are panic-isolated");
+            });
             for (slot, out) in slots.into_iter().zip(outcomes.iter_mut()) {
-                *out = slot.into_inner();
+                *out = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
             }
         }
         drop(extra_lease);
@@ -845,7 +778,7 @@ impl Evaluator {
     /// sinks.
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
-            let mut meta = self.progress.lock();
+            let mut meta = lock(&self.progress);
             meta.set.push(ppa);
             meta.best_tradeoff = meta.best_tradeoff.max(ppa.tradeoff());
             let event = Progress {
@@ -875,7 +808,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One evaluated design within an exploration run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalRecord {
     /// The design.
     pub arch: MicroArch,
@@ -886,7 +819,7 @@ pub struct EvalRecord {
 }
 
 /// Log of an exploration run: every design in evaluation order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     /// Method label.
     pub method: String,

@@ -24,7 +24,8 @@
 //! Permits are released through RAII [`Lease`] guards, so a panicking
 //! worker returns its permits like any other.
 
-use std::sync::{Arc, Condvar, Mutex};
+use crate::lock;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A shared pool of thread permits bounding total campaign parallelism.
 #[derive(Debug)]
@@ -52,19 +53,19 @@ impl ThreadGovernor {
 
     /// Permits currently unclaimed.
     pub fn available(&self) -> usize {
-        *lock_ok(&self.available)
+        *lock(&self.available)
     }
 
     /// Blocks until one permit is free and takes it. Campaign jobs call
     /// this once per run; because each job holds at most this single
     /// blocking permit, acquisition order cannot deadlock.
     pub fn acquire(self: &Arc<Self>) -> Lease {
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         while *available == 0 {
             available = self
                 .freed
                 .wait(available)
-                .unwrap_or_else(|e| e.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
         *available -= 1;
         Lease {
@@ -78,7 +79,7 @@ impl ThreadGovernor {
     /// this for worker threads beyond the one their caller already
     /// represents.
     pub fn try_acquire(self: &Arc<Self>, want: usize) -> Lease {
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         let granted = want.min(*available);
         *available -= granted;
         Lease {
@@ -91,16 +92,12 @@ impl ThreadGovernor {
         if n == 0 {
             return;
         }
-        let mut available = lock_ok(&self.available);
+        let mut available = lock(&self.available);
         *available += n;
         debug_assert!(*available <= self.total, "permit over-release");
         drop(available);
         self.freed.notify_all();
     }
-}
-
-fn lock_ok(m: &Mutex<usize>) -> std::sync::MutexGuard<'_, usize> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// RAII holder of governor permits; returns them on drop.
@@ -159,9 +156,9 @@ mod tests {
         let g = ThreadGovernor::new(2);
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let _lease = g.acquire();
                     let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -169,8 +166,7 @@ mod tests {
                     running.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-        })
-        .expect("no panics");
+        });
         assert!(
             peak.load(Ordering::SeqCst) <= 2,
             "governor must bound concurrency"

@@ -59,6 +59,14 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
+/// Locks `m` even if a thread panicked while holding it. Worker panics are
+/// caught by `catch_unwind` and turned into failed evaluations, so one
+/// must not make every later lock of a shared evaluator or campaign slot
+/// panic too.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Convenient re-exports of the main entry points.
 pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};

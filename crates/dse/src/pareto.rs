@@ -4,11 +4,10 @@
 //! Objectives: maximise performance (IPC), minimise power, minimise area.
 
 use archx_power::PpaResult;
-use serde::{Deserialize, Serialize};
 
 /// Reference point for hypervolume: must be dominated by every explored
 /// design (worse in all three objectives).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefPoint {
     /// Lower bound on IPC.
     pub ipc: f64,
@@ -135,7 +134,7 @@ fn area2d(points: &[[f64; 2]]) -> f64 {
 
 /// Maintains the frontier of all explored designs and exposes the
 /// hypervolume-versus-simulations curve.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExplorationSet {
     points: Vec<PpaResult>,
 }

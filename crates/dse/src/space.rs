@@ -10,11 +10,10 @@
 
 use archx_sim::MicroArch;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one searchable parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ParamId {
     /// Unified pipeline width.
     Width,
@@ -165,7 +164,7 @@ fn range(start: u32, end: u32, stride: u32) -> Vec<u32> {
 }
 
 /// The Table 4 design space: candidate values per parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesignSpace {
     candidates: Vec<Vec<u32>>,
 }

@@ -4,10 +4,9 @@
 use crate::area;
 use crate::energy::{EventEnergies, FREQ_HZ, LEAKAGE_W_PER_MM2};
 use archx_sim::{MicroArch, SimStats};
-use serde::{Deserialize, Serialize};
 
 /// Power/area evaluation of one simulated design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpaResult {
     /// Instructions per cycle achieved in the simulation.
     pub ipc: f64,
@@ -28,7 +27,7 @@ impl PpaResult {
 }
 
 /// Detailed power decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Dynamic power in watts.
     pub dynamic_w: f64,

@@ -57,7 +57,7 @@ pub struct CheckConfig {
     pub fault: Option<InjectedFault>,
 }
 
-/// The per-run checker state. Owned by `OooCore::run_in` when checks are
+/// The per-run checker state. Owned by `OooCore::run_into` when checks are
 /// enabled; one `end_of_cycle` call per main-loop iteration.
 #[derive(Debug)]
 pub(crate) struct InvariantChecker {

@@ -1,11 +1,10 @@
 //! Microarchitecture configuration: the 21 parameters of the ArchExplorer
 //! design space (paper Table 4) plus a handful of fixed structural constants.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Memory-dependence handling policy for loads versus older stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemDepPolicy {
     /// Loads wait until every older in-flight store has computed its
     /// address (no memory-order misprediction possible).
@@ -24,7 +23,7 @@ pub enum MemDepPolicy {
 /// only a better *algorithm* helps — this knob enables that study (see
 /// the `ext_bpred` harness). Storage parameters (Table 4) apply to all
 /// variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BpKind {
     /// Alpha-21264-style tournament: local + global + choice.
     #[default]
@@ -38,7 +37,7 @@ pub enum BpKind {
 
 /// Cache replacement policy (applies to the parameterised L1 caches; the
 /// fixed L2 always uses LRU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplPolicy {
     /// True least-recently-used.
     #[default]
@@ -78,7 +77,7 @@ pub const L2_ASSOC: u32 = 8;
 /// assert!(arch.validate().is_ok());
 /// assert_eq!(arch.width, 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicroArch {
     /// Unified fetch/decode/rename/dispatch/issue/writeback/commit width.
     pub width: u32,

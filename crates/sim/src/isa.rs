@@ -6,11 +6,10 @@
 //! only timing. This mirrors how the paper extracts microexecutions from
 //! gem5 rather than re-executing binaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operation classes, matching the functional-unit classes of Table 1/4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Simple integer ALU operation (1 cycle).
     IntAlu,
@@ -97,7 +96,7 @@ impl fmt::Display for OpClass {
 }
 
 /// Architectural register class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegClass {
     /// Integer register file.
     Int,
@@ -106,7 +105,7 @@ pub enum RegClass {
 }
 
 /// An architectural register reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg {
     /// Register class.
     pub class: RegClass,
@@ -142,7 +141,7 @@ impl fmt::Display for Reg {
 }
 
 /// One dynamic instruction of a trace, with its actual runtime behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Program counter.
     pub pc: u64,

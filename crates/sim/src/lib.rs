@@ -38,7 +38,6 @@
 //! cycle budgets ([`OooCore::with_cycle_budget`]), invalid configurations
 //! and external-trace ingestion errors.
 
-pub mod arena;
 pub mod bpred;
 pub mod cache;
 pub mod check;
@@ -54,7 +53,6 @@ pub mod stats;
 pub mod trace;
 pub mod trace_gen;
 
-pub use arena::SimArena;
 pub use check::{CheckConfig, InjectedFault};
 pub use config::MicroArch;
 pub use error::SimError;

@@ -13,7 +13,6 @@
 //! resolves, so the measured squash latency depends on how long the branch
 //! actually took to execute — the dynamic behaviour the paper's DEG needs.
 
-use crate::arena::SimArena;
 use crate::bpred::BranchPredictor;
 use crate::cache::Hierarchy;
 use crate::check::{CheckConfig, InvariantChecker};
@@ -24,9 +23,10 @@ use crate::isa::{Instruction, OpClass, RegClass};
 use crate::resources::Pool;
 use crate::stats::SimStats;
 use crate::trace::{
-    Cycle, FuKind, FuWait, InstrIdx, PipelineTrace, RenameStall, ResourceKind, SimResult, NO_INSTR,
+    Cycle, FuKind, FuWait, InstrEvents, InstrIdx, RenameStall, ResourceKind, SimResult, NO_INSTR,
 };
 use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 const UNSET: Cycle = Cycle::MAX;
 
@@ -76,7 +76,7 @@ impl Default for Aux {
 
 /// A block of consecutive instructions brought in by one I-cache access.
 #[derive(Debug, Clone)]
-pub(crate) struct FetchBlock {
+struct FetchBlock {
     /// Next instruction (index into the trace) to move to the fetch queue.
     next: InstrIdx,
     /// One past the last instruction of the block.
@@ -179,55 +179,46 @@ impl OooCore {
     /// [`SimError::CycleBudgetExceeded`] when a configured
     /// [cycle budget](OooCore::with_cycle_budget) runs out first.
     pub fn run(&self, instructions: &[Instruction]) -> Result<SimResult, SimError> {
-        self.run_in(&mut SimArena::new(), instructions)
+        let mut out = SimResult::default();
+        self.run_into(instructions, &mut out)?;
+        Ok(out)
     }
 
-    /// Like [`OooCore::run`], but borrows the scratch working set (event
-    /// table, pipeline queues, scoreboard, wakeup heap) from `arena`
-    /// instead of allocating it — the hot path for campaigns that simulate
-    /// thousands of design points. Results are identical to [`run`]
-    /// (see [`SimArena`] for the ownership/clearing contract); call
-    /// [`SimArena::recycle`] with the consumed result to reclaim the event
-    /// table for the next run.
+    /// Like [`OooCore::run`], but overwrites `out` in place: whatever an
+    /// earlier run left there is discarded, and the event table keeps its
+    /// allocations (including each entry's `rename_stalls` / `data_deps`
+    /// vectors). On success `out` equals what [`run`] returns; on error its
+    /// contents are unspecified, and it can still be reused.
     ///
     /// [`run`]: OooCore::run
-    pub fn run_in(
+    ///
+    /// ```
+    /// use archx_sim::{MicroArch, OooCore, SimResult, trace_gen};
+    /// let core = OooCore::new(MicroArch::baseline());
+    /// let mut out = SimResult::default();
+    /// for n in [300, 100] {
+    ///     let trace = trace_gen::linear_int_chain(n);
+    ///     core.run_into(&trace, &mut out).expect("simulates");
+    ///     assert_eq!(out, core.run(&trace).expect("simulates"));
+    /// }
+    /// ```
+    pub fn run_into(
         &self,
-        arena: &mut SimArena,
         instructions: &[Instruction],
-    ) -> Result<SimResult, SimError> {
+        out: &mut SimResult,
+    ) -> Result<(), SimError> {
         let n = instructions.len() as InstrIdx;
         let arch = &self.arch;
-        let mut events = arena.take_events(instructions.len());
-        let mut stats = SimStats::default();
-
-        if instructions.is_empty() {
-            return Ok(SimResult {
-                trace: PipelineTrace { events, cycles: 0 },
-                stats,
-                instructions: Vec::new(),
-            });
+        let events = &mut out.trace.events;
+        events.truncate(instructions.len());
+        for ev in events.iter_mut() {
+            ev.reset();
         }
-
-        // Split the remaining scratch buffers out of the arena (disjoint
-        // field borrows) and clear them; `events` alone moves into the
-        // result, everything else stays owned by the arena.
-        let SimArena {
-            events: arena_events,
-            instructions: arena_instrs,
-            aux,
-            blocks,
-            ftq,
-            decq,
-            iq,
-            sq_live,
-            lq_live,
-            blocked_kinds,
-            conflict,
-            pending_p,
-        } = arena;
-        aux.clear();
-        aux.resize(instructions.len(), Aux::default());
+        events.resize_with(instructions.len(), InstrEvents::blank);
+        out.instructions.clear();
+        out.instructions.extend_from_slice(instructions);
+        let mut stats = SimStats::default();
+        let mut aux = vec![Aux::default(); instructions.len()];
 
         let mut bpred = BranchPredictor::new(arch);
         let mut mem = Hierarchy::new(arch);
@@ -252,7 +243,7 @@ impl OooCore {
         let mut fetch_idx: InstrIdx = 0;
         // Up to two in-flight fetch blocks: the I-cache access for the next
         // block is pipelined with draining the current one.
-        blocks.clear();
+        let mut blocks: VecDeque<FetchBlock> = VecDeque::new();
         let mut fetch_blocked_by: Option<InstrIdx> = None;
         let mut refill_pending: Option<InstrIdx> = None;
         // Last instruction whose fetch-buffer block was fully drained (its
@@ -261,21 +252,21 @@ impl OooCore {
         // Last instruction moved into the fetch queue in an earlier cycle
         // (the releaser for fetch-bandwidth waits).
         let mut last_moved: Option<InstrIdx> = None;
-        ftq.clear();
-        decq.clear();
+        let mut ftq: VecDeque<InstrIdx> = VecDeque::new();
+        let mut decq: VecDeque<InstrIdx> = VecDeque::new();
         let decq_cap = (2 * arch.width) as usize;
 
         // Back end.
-        iq.clear();
+        let mut iq: VecDeque<InstrIdx> = VecDeque::new();
         // Rename stall bookkeeping for the in-order head.
-        blocked_kinds.clear();
+        let mut blocked_kinds: Vec<ResourceKind> = Vec::new();
         // In-flight (renamed, uncommitted) stores for memory ordering.
-        sq_live.clear();
+        let mut sq_live: VecDeque<InstrIdx> = VecDeque::new();
         // In-flight issued, uncommitted loads (for violation detection
         // under store-set speculation).
-        lq_live.clear();
+        let mut lq_live: VecDeque<InstrIdx> = VecDeque::new();
         // Per-load-PC saturating conflict counters (store-set predictor).
-        conflict.clear();
+        let mut conflict: HashMap<u64, u8> = HashMap::new();
 
         let mut checker = self.checks.map(InvariantChecker::new);
         let mut commit_head: InstrIdx = 0;
@@ -284,7 +275,7 @@ impl OooCore {
         let mut occupancy_acc = [0u64; 6];
         // Completion times of issued, uncommitted instructions — the next
         // possible wakeup/commit events, used to fast-forward idle cycles.
-        pending_p.clear();
+        let mut pending_p: BinaryHeap<Reverse<Cycle>> = BinaryHeap::new();
 
         while commit_head < n {
             // ---- Commit (in-order, up to width per cycle) ----
@@ -454,7 +445,7 @@ impl OooCore {
                 }
                 // True data dependencies: producers still in flight at
                 // dispatch time. The entry's own (cleared) vector is taken
-                // and reinstalled so its capacity survives arena reuse.
+                // and reinstalled so its capacity survives reuse of `out`.
                 let dp_at = je.dp;
                 let mut deps = std::mem::take(&mut je.data_deps);
                 for s in 0..2 {
@@ -764,11 +755,11 @@ impl OooCore {
 
             // ---- Invariant checks (CheckedCore mode only) ----
             if let Some(chk) = checker.as_mut() {
-                if let Err(e) = chk.end_of_cycle(
+                chk.end_of_cycle(
                     cycle,
                     commit_start..commit_head,
-                    &events,
-                    aux,
+                    events,
+                    &aux,
                     [
                         (&rob, ResourceKind::Rob),
                         (&iq_pool, ResourceKind::Iq),
@@ -777,10 +768,7 @@ impl OooCore {
                         (&int_rf, ResourceKind::IntRf),
                         (&fp_rf, ResourceKind::FpRf),
                     ],
-                ) {
-                    *arena_events = events; // reinstall for the next run
-                    return Err(e);
-                }
+                )?;
             }
 
             // ---- Idle fast-forward ----
@@ -845,7 +833,6 @@ impl OooCore {
 
             cycle += advance;
             if cycle - last_commit_cycle >= self.watchdog {
-                *arena_events = events; // reinstall for the next run
                 return Err(SimError::Deadlock {
                     cycle,
                     commit_head,
@@ -854,7 +841,6 @@ impl OooCore {
             }
             if let Some(budget) = self.cycle_budget {
                 if cycle > budget {
-                    *arena_events = events; // reinstall for the next run
                     return Err(SimError::CycleBudgetExceeded {
                         budget,
                         committed: stats.committed,
@@ -864,7 +850,6 @@ impl OooCore {
             }
         }
 
-        let _ = &*pending_p;
         let total_cycles = events
             .last()
             .map(|e| e.c)
@@ -879,17 +864,9 @@ impl OooCore {
             };
         }
 
-        let mut owned_instrs = std::mem::take(arena_instrs);
-        owned_instrs.clear();
-        owned_instrs.extend_from_slice(instructions);
-        Ok(SimResult {
-            trace: PipelineTrace {
-                events,
-                cycles: total_cycles,
-            },
-            stats,
-            instructions: owned_instrs,
-        })
+        out.trace.cycles = total_cycles;
+        out.stats = stats;
+        Ok(())
     }
 }
 
@@ -1083,5 +1060,41 @@ mod tests {
             .filter(|e| matches!(e.fu_wait, Some(w) if w.fu == FuKind::IntMultDiv))
             .count();
         assert!(waits > 0, "serialised divides must record FU waits");
+    }
+
+    #[test]
+    fn run_into_matches_run_across_reuse() {
+        let core = OooCore::new(MicroArch::baseline());
+        let mut out = SimResult::default();
+        for seed in [1u64, 2, 3] {
+            let trace = trace_gen::mixed_workload(2_000, seed);
+            core.run_into(&trace, &mut out).expect("simulates");
+            assert_eq!(out, core.run(&trace).expect("simulates"));
+        }
+    }
+
+    #[test]
+    fn run_into_overwrites_a_result_of_another_length_and_arch() {
+        let mut out = SimResult::default();
+        let mut arch = MicroArch::baseline();
+        for (n, width) in [(3_000usize, 4u32), (500, 2), (1_500, 8)] {
+            arch.width = width;
+            arch.int_alu = width.max(3);
+            let core = OooCore::new(arch);
+            let trace = trace_gen::mixed_workload(n, 7);
+            core.run_into(&trace, &mut out).expect("simulates");
+            assert_eq!(out, core.run(&trace).expect("simulates"));
+        }
+    }
+
+    #[test]
+    fn run_into_overwrites_a_result_left_by_a_failed_run() {
+        let trace = trace_gen::mixed_workload(5_000, 1);
+        let mut out = SimResult::default();
+        let starved = OooCore::new(MicroArch::baseline()).with_cycle_budget(10);
+        assert!(starved.run_into(&trace, &mut out).is_err());
+        let core = OooCore::new(MicroArch::baseline());
+        core.run_into(&trace[..4_000], &mut out).expect("simulates");
+        assert_eq!(out, core.run(&trace[..4_000]).expect("simulates"));
     }
 }

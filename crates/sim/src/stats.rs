@@ -2,10 +2,9 @@
 //! McPAT-lite power model consumes.
 
 use crate::trace::ResourceKind;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {
     /// Committed instructions.
     pub committed: u64,

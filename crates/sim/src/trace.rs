@@ -3,7 +3,6 @@
 
 use crate::isa::Instruction;
 use crate::stats::SimStats;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cycle count.
@@ -15,7 +14,7 @@ pub type InstrIdx = u32;
 pub const NO_INSTR: InstrIdx = InstrIdx::MAX;
 
 /// Rename-checked hardware resources (paper Table 2, rename→rename edges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// Reorder buffer entries.
     Rob,
@@ -58,7 +57,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// Functional-unit classes (paper Table 2, issue→issue edges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FuKind {
     /// Integer ALUs.
     IntAlu,
@@ -97,7 +96,7 @@ impl fmt::Display for FuKind {
 }
 
 /// A rename-stage stall resolved by another instruction releasing an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenameStall {
     /// Which resource was exhausted.
     pub resource: ResourceKind,
@@ -107,7 +106,7 @@ pub struct RenameStall {
 }
 
 /// A wait for a busy functional unit at issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuWait {
     /// Which functional-unit class was busy.
     pub fu: FuKind,
@@ -123,7 +122,7 @@ pub struct FuWait {
 /// granted) → `DP` (dispatch into the issue queue) → `I` (issue) → `M`
 /// (memory access begins, memory ops only) → `P` (execution complete /
 /// writeback) → `C` (commit).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InstrEvents {
     /// I-cache request sent.
     pub f1: Cycle,
@@ -191,8 +190,8 @@ impl InstrEvents {
     }
 
     /// Resets to the pre-run blank state while keeping the capacity of the
-    /// per-instruction `rename_stalls` / `data_deps` vectors — the
-    /// allocation-reuse path used by [`crate::arena::SimArena`].
+    /// per-instruction `rename_stalls` / `data_deps` vectors, so
+    /// [`OooCore::run_into`](crate::OooCore::run_into) can reuse them.
     pub fn reset(&mut self) {
         self.f1 = Cycle::MAX;
         self.f2 = Cycle::MAX;
@@ -218,7 +217,7 @@ impl InstrEvents {
 }
 
 /// The full microexecution record of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineTrace {
     /// Per committed instruction, in program order.
     pub events: Vec<InstrEvents>,
@@ -238,8 +237,10 @@ impl PipelineTrace {
     }
 }
 
-/// Result of a simulation: the trace plus aggregate statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Result of a simulation: the trace plus aggregate statistics. The
+/// default value is an empty result, ready to be filled by
+/// [`OooCore::run_into`](crate::OooCore::run_into).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Per-instruction microexecution record.
     pub trace: PipelineTrace,

@@ -2,13 +2,12 @@
 
 use archx_sim::isa::{Instruction, OpClass, Reg, RegClass};
 use archx_sim::trace_gen::XorShift;
-use serde::{Deserialize, Serialize};
 
 /// Instruction-class mix as fractions of the dynamic stream.
 ///
 /// The fractions must sum to at most 1; the remainder becomes simple
 /// integer ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Loads.
     pub load: f64,
@@ -91,7 +90,7 @@ impl OpMix {
 }
 
 /// How predictable the workload's conditional branches are.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchProfile {
     /// Fraction of static branches that are strongly biased.
     pub biased_fraction: f64,
@@ -132,7 +131,7 @@ impl BranchProfile {
 /// probability `hot_fraction` they fall uniformly in a hot region of
 /// `hot_bytes` (temporal locality — real programs re-touch a small core of
 /// their data constantly); otherwise they scatter over the full footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryProfile {
     /// Total data footprint in bytes.
     pub footprint_bytes: u64,
@@ -171,7 +170,7 @@ impl MemoryProfile {
 }
 
 /// Full specification of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Instruction mix.
     pub mix: OpMix,

@@ -9,10 +9,9 @@
 
 use crate::generator::WorkloadSpec;
 use archx_sim::isa::Instruction;
-use serde::Serialize;
 
 /// One phase: a specification and its length in instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Generator specification of this phase.
     pub spec: WorkloadSpec,
@@ -21,7 +20,7 @@ pub struct Phase {
 }
 
 /// A workload built from repeating phases.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasedWorkload {
     phases: Vec<Phase>,
 }

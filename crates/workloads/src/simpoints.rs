@@ -12,10 +12,9 @@
 
 use archx_sim::isa::Instruction;
 use archx_sim::trace_gen::XorShift;
-use serde::Serialize;
 
 /// One chosen representative interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Simpoint {
     /// First instruction of the interval.
     pub start: usize,

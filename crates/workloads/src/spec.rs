@@ -10,12 +10,11 @@
 
 use crate::generator::{BranchProfile, MemoryProfile, OpMix, WorkloadSpec};
 use archx_sim::isa::Instruction;
-use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a named workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadId(pub &'static str);
 
 impl fmt::Display for WorkloadId {
@@ -25,7 +24,7 @@ impl fmt::Display for WorkloadId {
 }
 
 /// A named workload: a specification plus its identity and suite weight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Display name, mirroring the SPEC workload it imitates.
     pub id: WorkloadId,

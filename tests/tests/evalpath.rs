@@ -1,7 +1,8 @@
-//! The shared-trace-store / evaluation-arena hot path, end to end:
-//! a campaign synthesises each `(workload, seed, window)` trace exactly
-//! once however many jobs run, retries slice the shared trace instead of
-//! regenerating it, and arena reuse never changes an evaluation result.
+//! The shared-trace-store / buffer-reuse hot path, end to end: a campaign
+//! synthesises each `(workload, seed, window)` trace exactly once however
+//! many jobs run, retries slice the shared trace instead of regenerating
+//! it, and the per-thread reused buffers never change an evaluation
+//! result.
 
 use archexplorer::dse::campaign::{CampaignConfig, CampaignRunner, ParallelConfig, RunSpec};
 use archexplorer::prelude::*;
@@ -87,28 +88,36 @@ fn campaign_store_results_match_per_run_generation() {
 }
 
 #[test]
-fn arena_reuse_is_byte_identical_to_fresh_allocation() {
+fn warm_thread_evaluation_matches_a_fresh_thread() {
     let suite = suite(2);
-    let designs = [MicroArch::baseline(), MicroArch::tiny()];
-    let build = |arena: bool| {
+    let evaluate = |window: usize, arch: &MicroArch, analysis: Analysis| {
         Evaluator::builder(suite.clone())
-            .window(2_000)
+            .window(window)
             .seed(1)
             .trace_store(Arc::new(TraceStore::new()))
             .threads(1)
-            .arena_reuse(arena)
             .build()
+            .evaluate_with(arch, analysis)
+            .expect("evaluates")
     };
-    let cold = build(false);
-    let warm = build(true);
-    for arch in &designs {
-        let a = cold
-            .evaluate_with(arch, Analysis::NewDeg)
-            .expect("evaluates");
-        let b = warm
-            .evaluate_with(arch, Analysis::NewDeg)
-            .expect("evaluates");
-        assert_eq!(a, b, "arena reuse must not change results for {arch}");
+    // Leave this thread's reused simulation result and DEG holding other
+    // designs, longer and shorter windows, and every analysis kind.
+    for (window, arch, analysis) in [
+        (3_000, MicroArch::baseline(), Analysis::NewDeg),
+        (1_000, MicroArch::baseline(), Analysis::Calipers),
+        (2_500, MicroArch::tiny(), Analysis::None),
+    ] {
+        evaluate(window, &arch, analysis);
+    }
+    let target = MicroArch::tiny();
+    for analysis in [Analysis::NewDeg, Analysis::Calipers, Analysis::None] {
+        let warm = evaluate(2_000, &target, analysis);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| evaluate(2_000, &target, analysis))
+                .join()
+                .expect("fresh thread")
+        });
+        assert_eq!(warm, fresh, "reused buffers changed a {analysis:?} result");
     }
 }
 
