@@ -25,20 +25,16 @@ fn main() -> ExitCode {
     let telemetry_mode = args.telemetry();
     let jobs = args.get_usize("jobs", 4).max(2);
     let out = args.get_str("out", "BENCH_campaign.json");
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 10),
-        instrs_per_workload: args.get_usize("instrs", 800),
-        seed: 1,
-        trace_seed: None,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
+    let sim_budget = args.get_u64("budget", 10);
+    let instrs = args.get_usize("instrs", 800);
     let mut suite = spec06_suite();
     suite.truncate(args.get_usize("workloads", 2).max(1));
     let w = 1.0 / suite.len() as f64;
     for x in &mut suite {
         x.weight = w;
     }
+    let workloads = suite.len();
+    let template = Evaluator::builder(suite).window(instrs).seed(1).threads(1);
     let space = DesignSpace::table4();
     let seeds = [1u64, 2];
     let specs: Vec<RunSpec> = Method::ALL
@@ -49,11 +45,11 @@ fn main() -> ExitCode {
     eprintln!(
         "campaign bench: {} runs x {} sims, serial then jobs={jobs}...",
         specs.len(),
-        cfg.sim_budget
+        sim_budget
     );
     let t0 = Instant::now();
     let serial = CampaignRunner::new()
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, sim_budget)
         .expect("serial campaign");
     let serial_s = t0.elapsed().as_secs_f64();
 
@@ -63,7 +59,7 @@ fn main() -> ExitCode {
             jobs,
             total_threads: jobs,
         })
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, sim_budget)
         .expect("parallel campaign");
     let parallel_s = t1.elapsed().as_secs_f64();
 
@@ -79,12 +75,9 @@ fn main() -> ExitCode {
         ("methods".into(), JsonValue::Int(Method::ALL.len() as u64)),
         ("seeds".into(), JsonValue::Int(seeds.len() as u64)),
         ("runs".into(), JsonValue::Int(specs.len() as u64)),
-        ("sim_budget".into(), JsonValue::Int(cfg.sim_budget)),
-        (
-            "instrs_per_workload".into(),
-            JsonValue::Int(cfg.instrs_per_workload as u64),
-        ),
-        ("workloads".into(), JsonValue::Int(suite.len() as u64)),
+        ("sim_budget".into(), JsonValue::Int(sim_budget)),
+        ("instrs_per_workload".into(), JsonValue::Int(instrs as u64)),
+        ("workloads".into(), JsonValue::Int(workloads as u64)),
         ("jobs".into(), JsonValue::Int(jobs as u64)),
         (
             "host_threads".into(),

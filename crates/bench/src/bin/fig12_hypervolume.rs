@@ -16,15 +16,14 @@
 //! worker threads under a global governor (`threads=` caps the total);
 //! results are identical to `jobs=1`, only wall-clock changes.
 
-use archexplorer::dse::campaign::{Campaign, CampaignRunner, ParallelConfig};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
 /// Multi-seed variant: prints mean ± std hypervolume per budget point.
 fn run_suite_sweep(
     name: &str,
-    suite: Vec<Workload>,
-    cfg: &CampaignConfig,
+    template: &EvaluatorBuilder,
+    sim_budget: u64,
     seeds: &[u64],
     parallel: &ParallelConfig,
 ) {
@@ -38,17 +37,16 @@ fn run_suite_sweep(
         Method::Calipers,
     ];
     eprintln!(
-        "[{name}] sweeping {} methods x {} sims x {} seeds ({} jobs)...",
+        "[{name}] sweeping {} methods x {sim_budget} sims x {} seeds ({} jobs)...",
         methods.len(),
-        cfg.sim_budget,
         seeds.len(),
         parallel.jobs
     );
     let r = RefPoint::default();
-    let step = (cfg.sim_budget / 12).max(1);
+    let step = (sim_budget / 12).max(1);
     let curves = CampaignRunner::new()
         .parallel(*parallel)
-        .sweep(&methods, &space, &suite, cfg, seeds, &r, step)
+        .sweep(&methods, &space, template, sim_budget, seeds, &r, step)
         .expect("seeds sample aligned budget grids");
     let mut header = vec!["sims".to_string()];
     header.extend(curves.iter().map(|c| c.method.clone()));
@@ -74,7 +72,7 @@ Figure 12 [{name}] over seeds {seeds:?}: mean ± std hypervolume
     );
 }
 
-fn run_suite(name: &str, suite: Vec<Workload>, cfg: &CampaignConfig, parallel: &ParallelConfig) {
+fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, parallel: &ParallelConfig) {
     let space = DesignSpace::table4();
     let methods = [
         Method::ArchExplorer,
@@ -85,17 +83,17 @@ fn run_suite(name: &str, suite: Vec<Workload>, cfg: &CampaignConfig, parallel: &
         Method::Calipers,
     ];
     eprintln!(
-        "[{name}] running {} methods x {} sims ({} workloads, {} instrs each, {} jobs)...",
+        "[{name}] running {} methods x {sim_budget} sims ({} jobs)...",
         methods.len(),
-        cfg.sim_budget,
-        suite.len(),
-        cfg.instrs_per_workload,
         parallel.jobs
     );
-    let campaign = Campaign::run_parallel(&methods, &space, &suite, cfg, parallel);
+    let campaign = CampaignRunner::new()
+        .parallel(*parallel)
+        .run(&methods, &space, template, sim_budget)
+        .expect("no per-run setup to fail");
 
     let r = RefPoint::default();
-    let step = (cfg.sim_budget / 12).max(1);
+    let step = (sim_budget / 12).max(1);
     let curves = campaign.curves(&r, step);
     let mut header = vec!["sims".to_string()];
     header.extend(curves.iter().map(|(m, _)| m.clone()));
@@ -141,14 +139,9 @@ fn run_suite(name: &str, suite: Vec<Workload>, cfg: &CampaignConfig, parallel: &
 fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
+    let sim_budget = args.get_u64("budget", 360);
+    let instrs = args.get_usize("instrs", 20_000);
+    let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", usize::MAX);
     let which = args.get_str("suite", "both");
     let n_seeds = args.get_usize("seeds", 1);
@@ -160,27 +153,24 @@ fn main() {
             .max(1),
     };
 
-    let trim = |mut v: Vec<Workload>| {
+    // Every run's traces use the first search seed.
+    let template = |mut v: Vec<Workload>| {
         v.truncate(limit.max(1));
         let w = 1.0 / v.len() as f64;
         for x in &mut v {
             x.weight = w;
         }
-        v
+        Evaluator::builder(v).window(instrs).seed(seed)
     };
-    let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| cfg.seed + i).collect();
-    if which == "spec06" || which == "both" {
-        if n_seeds > 1 {
-            run_suite_sweep("SPEC06", trim(spec06_suite()), &cfg, &seeds, &parallel);
-        } else {
-            run_suite("SPEC06", trim(spec06_suite()), &cfg, &parallel);
+    let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed + i).collect();
+    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
+        if which != name.to_lowercase() && which != "both" {
+            continue;
         }
-    }
-    if which == "spec17" || which == "both" {
         if n_seeds > 1 {
-            run_suite_sweep("SPEC17", trim(spec17_suite()), &cfg, &seeds, &parallel);
+            run_suite_sweep(name, &template(suite), sim_budget, &seeds, &parallel);
         } else {
-            run_suite("SPEC17", trim(spec17_suite()), &cfg, &parallel);
+            run_suite(name, &template(suite), sim_budget, &parallel);
         }
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);

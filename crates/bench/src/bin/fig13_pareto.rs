@@ -11,21 +11,13 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
-use archexplorer::dse::campaign::Campaign;
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
+    let sim_budget = args.get_u64("budget", 360);
     let limit = args.get_usize("workloads", usize::MAX);
     let mut suite = spec06_suite();
     suite.truncate(limit.max(1));
@@ -33,6 +25,9 @@ fn main() {
     for x in &mut suite {
         x.weight = w;
     }
+    let template = Evaluator::builder(suite)
+        .window(args.get_usize("instrs", 20_000))
+        .seed(args.get_u64("seed", 1));
 
     let methods = [
         Method::ArchExplorer,
@@ -41,11 +36,12 @@ fn main() {
         Method::BoomExplorer,
     ];
     eprintln!(
-        "[SPEC06] running {} methods x {} sims...",
-        methods.len(),
-        cfg.sim_budget
+        "[SPEC06] running {} methods x {sim_budget} sims...",
+        methods.len()
     );
-    let campaign = Campaign::run(&methods, &DesignSpace::table4(), &suite, &cfg);
+    let campaign = CampaignRunner::new()
+        .run(&methods, &DesignSpace::table4(), &template, sim_budget)
+        .expect("no per-run setup to fail");
 
     println!("Figure 13 data: Pareto-frontier points per method (CSV)");
     let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);

@@ -8,22 +8,15 @@
 //!     [budget=N] [instrs=N] [seed=S] [workloads=N]
 //! ```
 
-use archexplorer::dse::campaign::{run_method, CampaignConfig};
-use archexplorer::dse::eval::Evaluator;
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 240),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
+    let sim_budget = args.get_u64("budget", 240);
+    let instrs = args.get_usize("instrs", 20_000);
+    let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", usize::MAX);
     let methods = [
         Method::ArchExplorer,
@@ -39,21 +32,18 @@ fn main() {
             x.weight = w;
         }
         let space = DesignSpace::table4();
+        let template = Evaluator::builder(suite.clone()).window(instrs).seed(seed);
 
         // Find each method's best design, then re-evaluate per workload.
         let mut best: Vec<(String, MicroArch)> = Vec::new();
         for &m in &methods {
-            eprintln!("[{name}] {m}: exploring {} sims...", cfg.sim_budget);
-            let log = run_method(m, &space, &suite, &cfg);
+            eprintln!("[{name}] {m}: exploring {sim_budget} sims...");
+            let log = run_method_on(m, &space, &template.clone().build(), sim_budget, seed);
             let rec = log.best_tradeoff().expect("non-empty log");
             best.push((m.to_string(), rec.arch));
         }
 
-        let evaluator = Evaluator::builder(suite.clone())
-            .window(cfg.instrs_per_workload)
-            .seed(cfg.seed)
-            .threads(cfg.threads)
-            .build();
+        let evaluator = template.build();
         let mut header = vec!["workload".to_string()];
         header.extend(best.iter().map(|(m, _)| m.clone()));
         let mut t = Table::new(header);

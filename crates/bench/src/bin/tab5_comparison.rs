@@ -17,21 +17,15 @@
 //! governor (`threads=` caps the total); the table is identical to
 //! `jobs=1`.
 
-use archexplorer::dse::campaign::{Campaign, ParallelConfig};
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
-    let cfg = CampaignConfig {
-        sim_budget: args.get_u64("budget", 360),
-        instrs_per_workload: args.get_usize("instrs", 20_000),
-        seed: args.get_u64("seed", 1),
-        trace_seed: None,
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        ..CampaignConfig::default()
-    };
+    let sim_budget = args.get_u64("budget", 360);
+    let instrs = args.get_usize("instrs", 20_000);
+    let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", usize::MAX);
     // Target = this fraction of the best final hypervolume across methods.
     let target_frac: f64 = args.get_str("target_frac", "0.95").parse().unwrap_or(0.95);
@@ -56,15 +50,17 @@ fn main() {
             Method::ArchExplorer,
         ];
         eprintln!(
-            "[{name}] running {} methods x {} sims ({} jobs)...",
-            methods.len(),
-            cfg.sim_budget,
-            jobs
+            "[{name}] running {} methods x {sim_budget} sims ({jobs} jobs)...",
+            methods.len()
         );
-        let campaign = Campaign::run_parallel(&methods, &space_ref(), &suite, &cfg, &parallel);
+        let template = Evaluator::builder(suite).window(instrs).seed(seed);
+        let campaign = CampaignRunner::new()
+            .parallel(parallel)
+            .run(&methods, &DesignSpace::table4(), &template, sim_budget)
+            .expect("no per-run setup to fail");
 
         let r = RefPoint::default();
-        let step = (cfg.sim_budget / 60).max(1);
+        let step = (sim_budget / 60).max(1);
         // Target hypervolume: a fraction of the best final value, so every
         // run has a chance to reach it (the paper picks the y where curves
         // begin to converge).
@@ -74,11 +70,11 @@ fn main() {
             .filter_map(|l| l.hypervolume_curve(&r, step).last().map(|&(_, hv)| hv))
             .fold(0.0f64, f64::max);
         let target = target_frac * best_final;
-        let budget_x = cfg.sim_budget * 2 / 3;
+        let budget_x = sim_budget * 2 / 3;
 
         let ranker_sims = campaign
             .sims_to_reach("ArchRanker", &r, target, step)
-            .unwrap_or(cfg.sim_budget);
+            .unwrap_or(sim_budget);
         let ranker_hv = campaign.hv_at("ArchRanker", &r, budget_x).unwrap_or(0.0);
 
         let mut t = Table::new(["method", "sims@target", "ratio", "hv@budget", "ratio"]);
@@ -102,8 +98,4 @@ fn main() {
         println!("{}", t.to_text());
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);
-}
-
-fn space_ref() -> DesignSpace {
-    DesignSpace::table4()
 }

@@ -55,7 +55,6 @@ use archexplorer::cliopt::{
     TelemetryMode,
 };
 use archexplorer::deg::prelude::*;
-use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
 use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use archexplorer::sim::extern_trace;
@@ -95,7 +94,6 @@ fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String
 }
 
 fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
-    use archexplorer::dse::eval::{Analysis, Evaluator};
     let arch = arch_with_overrides(kv)?;
     let mut suite = workloads_of(kv)?;
     suite.truncate(get(kv, "workloads", usize::MAX).max(1));
@@ -123,6 +121,25 @@ fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The evaluator `explore` and `campaign` search on: `suite` at an
+/// `instrs` window with trace seed `seed`, plus the `cycle_budget=` and
+/// `retries=` robustness settings.
+fn evaluator_template(
+    kv: &HashMap<String, String>,
+    suite: Vec<Workload>,
+    instrs: usize,
+    seed: u64,
+) -> EvaluatorBuilder {
+    Evaluator::builder(suite)
+        .window(instrs)
+        .seed(seed)
+        .limits(SimLimits {
+            cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
+            ..SimLimits::default()
+        })
+        .max_retries(get(kv, "retries", 1u32))
+}
+
 /// `progress=1` streams one line per evaluated design to stderr; under
 /// `campaign --jobs N` each line carries its run's label.
 struct StderrProgress;
@@ -147,22 +164,14 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
     for x in &mut suite {
         x.weight = w;
     }
-    let cfg = CampaignConfig {
-        sim_budget: get(kv, "budget", 240),
-        instrs_per_workload: get(kv, "instrs", 20_000),
-        seed: get(kv, "seed", 1),
-        trace_seed: None,
-        threads: archexplorer::dse::default_threads(),
-        cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
-        max_retries: get(kv, "retries", 1u32),
-    };
+    let sim_budget = get(kv, "budget", 240u64);
+    let seed = get(kv, "seed", 1u64);
+    let instrs = get(kv, "instrs", 20_000usize);
     eprintln!(
-        "exploring with {method} for {} simulations ({} workloads x {} instrs)...",
-        cfg.sim_budget,
+        "exploring with {method} for {sim_budget} simulations ({} workloads x {instrs} instrs)...",
         suite.len(),
-        cfg.instrs_per_workload
     );
-    let evaluator = build_evaluator(&suite, &cfg);
+    let evaluator = evaluator_template(kv, suite, instrs, seed).build();
     if get(kv, "progress", 0u8) == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }
@@ -170,7 +179,7 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
     // depend on; mismatched resumes are rejected field-by-field.
     let fp = evaluator.fingerprint(vec![
         ("method".to_string(), method.to_string()),
-        ("search_seed".to_string(), cfg.seed.to_string()),
+        ("search_seed".to_string(), seed.to_string()),
     ]);
     if kv.contains_key("journal") && kv.contains_key("resume") {
         return Err(
@@ -184,21 +193,14 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
         evaluator.set_journal(journal);
         eprintln!(
             "resumed {path}: {replayed} journaled evaluation(s) replayed, \
-             {sims}/{} simulations already spent",
-            cfg.sim_budget
+             {sims}/{sim_budget} simulations already spent"
         );
     } else if let Some(path) = kv.get("journal") {
         let journal = Journal::create(path, &fp).map_err(|e| e.to_string())?;
         evaluator.set_journal(journal);
         eprintln!("journaling evaluations to {path}");
     }
-    let log = run_method_on(
-        method,
-        &DesignSpace::table4(),
-        &evaluator,
-        cfg.sim_budget,
-        cfg.seed,
-    );
+    let log = run_method_on(method, &DesignSpace::table4(), &evaluator, sim_budget, seed);
     if let Some(e) = evaluator.journal_error() {
         eprintln!("warning: journal writes failed ({e}); campaign continued unjournaled");
     }
@@ -266,15 +268,11 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         )
         .max(1),
     };
-    let cfg = CampaignConfig {
-        sim_budget: get(kv, "budget", 240),
-        instrs_per_workload: get(kv, "instrs", 20_000),
-        seed: seeds[0],
-        trace_seed: kv.get("trace_seed").and_then(|v| v.parse().ok()),
-        threads: archexplorer::dse::default_threads(),
-        cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
-        max_retries: get(kv, "retries", 1u32),
-    };
+    let sim_budget = get(kv, "budget", 240u64);
+    // Every run shares one trace seed: `trace_seed=` when given, else the
+    // first search seed.
+    let trace_seed = get(kv, "trace_seed", seeds[0]);
+    let template = evaluator_template(kv, suite, get(kv, "instrs", 20_000), trace_seed);
     let specs: Vec<RunSpec> = methods
         .iter()
         .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
@@ -287,7 +285,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         specs.len(),
         parallel.jobs,
         parallel.total_threads,
-        cfg.sim_budget
+        sim_budget
     );
 
     if kv.contains_key("journal") && kv.contains_key("resume") {
@@ -337,7 +335,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         runner = runner.progress_sink(std::sync::Arc::new(StderrProgress));
     }
     let logs = runner
-        .run_specs(&specs, &DesignSpace::table4(), &suite, &cfg)
+        .run_specs(&specs, &DesignSpace::table4(), &template, sim_budget)
         .map_err(|e| e.to_string())?;
 
     let r = RefPoint::default();

@@ -2,13 +2,11 @@
 //! analysis and explorers together behind one builder.
 
 use archx_deg::BottleneckReport;
-use archx_dse::campaign::{run_method_observed, CampaignConfig, Method};
-use archx_dse::eval::{Analysis, DesignEval, EvalFailure, Evaluator, RunLog, SimLimits};
+use archx_dse::campaign::{run_method_on, Method};
+use archx_dse::eval::{Analysis, DesignEval, EvalFailure, Evaluator, EvaluatorBuilder, RunLog};
 use archx_dse::space::DesignSpace;
 use archx_sim::MicroArch;
-use archx_telemetry::ProgressSink;
-use archx_workloads::{spec06_suite, spec17_suite, TraceStore, Workload};
-use std::sync::Arc;
+use archx_workloads::{spec06_suite, spec17_suite, Workload};
 
 /// Which bundled workload suite to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,11 +86,7 @@ pub struct SessionBuilder {
     workload_limit: usize,
     instrs_per_workload: usize,
     seed: u64,
-    trace_seed: Option<u64>,
     threads: usize,
-    cycle_budget: Option<u64>,
-    max_retries: u32,
-    trace_store: Option<Arc<TraceStore>>,
 }
 
 impl Default for SessionBuilder {
@@ -102,11 +96,7 @@ impl Default for SessionBuilder {
             workload_limit: usize::MAX,
             instrs_per_workload: 10_000,
             seed: 1,
-            trace_seed: None,
             threads: archx_dse::default_threads(),
-            cycle_budget: None,
-            max_retries: 1,
-            trace_store: None,
         }
     }
 }
@@ -130,16 +120,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Search seed (also the trace seed unless [`Self::trace_seed`] is set).
+    /// Seed for both the workload traces and the searches.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Fixes the workload-trace seed independently of the search seed, so
-    /// seed sweeps measure search variance rather than workload variance.
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.trace_seed = Some(seed);
         self
     }
 
@@ -149,30 +132,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Hard per-simulation cycle budget (`None` = unlimited). Runs that
-    /// exceed it fail with a typed error instead of spinning forever.
-    pub fn cycle_budget(mut self, budget: Option<u64>) -> Self {
-        self.cycle_budget = budget;
-        self
-    }
-
-    /// Retries allowed per failed evaluation (each with a halved
-    /// instruction window) before the design is quarantined.
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Resolves workload traces through `store` instead of the
-    /// process-global [`TraceStore`]. Sessions sharing a store share
-    /// their synthesised traces zero-copy.
-    pub fn trace_store(mut self, store: Arc<TraceStore>) -> Self {
-        self.trace_store = Some(store);
-        self
-    }
-
     /// Builds the session (resolves the workload traces through the
-    /// trace store, synthesising only those not already shared).
+    /// process-global trace store, synthesising only those not already
+    /// shared).
     pub fn build(self) -> Session {
         let mut suite = self.suite.workloads();
         suite.truncate(self.workload_limit);
@@ -180,27 +142,14 @@ impl SessionBuilder {
         for wl in &mut suite {
             wl.weight = w;
         }
-        let evaluator = Evaluator::builder(suite.clone())
+        let template = Evaluator::builder(suite)
             .window(self.instrs_per_workload)
-            .seed(self.trace_seed.unwrap_or(self.seed))
-            .trace_store(self.trace_store.unwrap_or_else(TraceStore::global))
-            .threads(self.threads)
-            .limits(SimLimits {
-                cycle_budget: self.cycle_budget,
-                ..SimLimits::default()
-            })
-            .max_retries(self.max_retries)
-            .build();
+            .seed(self.seed)
+            .threads(self.threads);
         Session {
             space: DesignSpace::table4(),
-            suite,
-            evaluator,
-            instrs_per_workload: self.instrs_per_workload,
-            seed: self.seed,
-            trace_seed: self.trace_seed,
-            threads: self.threads,
-            cycle_budget: self.cycle_budget,
-            max_retries: self.max_retries,
+            evaluator: template.clone().build(),
+            template,
         }
     }
 }
@@ -209,14 +158,9 @@ impl SessionBuilder {
 #[derive(Debug)]
 pub struct Session {
     space: DesignSpace,
-    suite: Vec<Workload>,
+    /// The configuration every evaluator of this session is built from.
+    template: EvaluatorBuilder,
     evaluator: Evaluator,
-    instrs_per_workload: usize,
-    seed: u64,
-    trace_seed: Option<u64>,
-    threads: usize,
-    cycle_budget: Option<u64>,
-    max_retries: u32,
 }
 
 impl Session {
@@ -232,7 +176,7 @@ impl Session {
 
     /// The session's workload suite.
     pub fn suite(&self) -> &[Workload] {
-        &self.suite
+        self.evaluator.workloads()
     }
 
     /// The shared evaluator (design cache + simulation counter).
@@ -270,37 +214,13 @@ impl Session {
     /// Runs one DSE method for `sim_budget` simulations on a **fresh**
     /// evaluator (so methods never share caches or budgets).
     pub fn explore(&self, method: Method, sim_budget: u64) -> Result<RunLog, SessionError> {
-        self.explore_inner(method, sim_budget, None)
-    }
-
-    /// Like [`Session::explore`], but streams per-evaluation progress
-    /// events (simulations done vs. budget, hypervolume, best trade-off)
-    /// to `sink` while the search runs.
-    pub fn explore_observed(
-        &self,
-        method: Method,
-        sim_budget: u64,
-        sink: Arc<dyn ProgressSink>,
-    ) -> Result<RunLog, SessionError> {
-        self.explore_inner(method, sim_budget, Some(sink))
-    }
-
-    fn explore_inner(
-        &self,
-        method: Method,
-        sim_budget: u64,
-        sink: Option<Arc<dyn ProgressSink>>,
-    ) -> Result<RunLog, SessionError> {
-        let cfg = CampaignConfig {
+        let log = run_method_on(
+            method,
+            &self.space,
+            &self.template.clone().build(),
             sim_budget,
-            instrs_per_workload: self.instrs_per_workload,
-            seed: self.seed,
-            trace_seed: self.trace_seed,
-            threads: self.threads,
-            cycle_budget: self.cycle_budget,
-            max_retries: self.max_retries,
-        };
-        let log = run_method_observed(method, &self.space, &self.suite, &cfg, sink);
+            self.template.trace_seed(),
+        );
         if log.records.is_empty() {
             return Err(SessionError::EmptyExploration { method, sim_budget });
         }
@@ -311,7 +231,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archx_telemetry::CollectingSink;
 
     fn tiny() -> Session {
         Session::builder()
@@ -364,64 +283,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("budget of 0"));
-    }
-
-    #[test]
-    fn explore_reports_exact_sim_count_through_sink() {
-        let s = tiny(); // 2 workloads => 2 sims per design
-        let sink = Arc::new(CollectingSink::new());
-        let budget = 6;
-        let log = s
-            .explore_observed(Method::Random, budget, sink.clone())
-            .expect("explores");
-        // Random search evaluates whole designs: with 2 workloads and a
-        // budget of 6, exactly 3 designs = 6 simulations are reported.
-        assert_eq!(sink.max_sims_done(), budget);
-        assert_eq!(sink.len(), log.records.len());
-        let last = sink.last().expect("events were emitted");
-        assert_eq!(last.sim_budget, budget);
-        assert_eq!(last.source, Method::Random.to_string());
-        assert!(last.hypervolume > 0.0);
-    }
-
-    #[test]
-    fn trace_seed_decouples_search_from_traces() {
-        let mk = |seed: u64| {
-            Session::builder()
-                .workload_limit(2)
-                .instrs_per_workload(800)
-                .threads(1)
-                .seed(seed)
-                .trace_seed(7)
-                .build()
-        };
-        // Same trace seed: identical workload traces, so the same design
-        // evaluates identically regardless of the search seed.
-        let a = mk(1).evaluate(&MicroArch::baseline()).expect("evaluates");
-        let b = mk(2).evaluate(&MicroArch::baseline()).expect("evaluates");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cycle_budget_failure_surfaces_as_session_error() {
-        let s = Session::builder()
-            .workload_limit(1)
-            .instrs_per_workload(500)
-            .threads(1)
-            .cycle_budget(Some(3))
-            .max_retries(0)
-            .build();
-        let err = s
-            .evaluate(&MicroArch::baseline())
-            .expect_err("a 3-cycle budget cannot finish any workload");
-        match &err {
-            SessionError::EvaluationFailed { failure, .. } => {
-                assert_eq!(failure.error.tag(), "cycle_budget");
-            }
-            other => panic!("unexpected error: {other}"),
-        }
-        assert!(err.to_string().contains("cycle budget"));
-        assert_eq!(s.evaluator().quarantine_len(), 1);
     }
 
     #[test]

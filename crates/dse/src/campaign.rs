@@ -4,8 +4,9 @@
 //!
 //! ## Concurrency model
 //!
-//! Every (method × seed) run owns a fresh evaluator and a deterministic
-//! RNG, so runs are embarrassingly parallel. [`CampaignRunner`] fans runs
+//! Every (method × seed) run owns a fresh evaluator, built from a clone of
+//! the campaign's [`EvaluatorBuilder`] template, and a deterministic RNG,
+//! so runs are embarrassingly parallel. [`CampaignRunner`] fans runs
 //! out across `jobs` worker threads under a shared [`ThreadGovernor`]
 //! bounding *total* threads (campaign jobs plus each evaluator's workload
 //! workers never exceed `total_threads`), with:
@@ -28,13 +29,12 @@ use crate::baselines::ranker::RankerOptions;
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
-use crate::eval::{Evaluator, EvaluatorBuilder, RunLog, SimLimits};
+use crate::eval::{Evaluator, EvaluatorBuilder, RunLog};
 use crate::governor::ThreadGovernor;
 use crate::lock;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
 use archx_telemetry::{self as telemetry, LabelledSink, ProgressSink};
-use archx_workloads::{TraceStore, Workload};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -91,117 +91,12 @@ impl fmt::Display for Method {
     }
 }
 
-/// Campaign configuration shared by all methods.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignConfig {
-    /// Simulation budget per method.
-    pub sim_budget: u64,
-    /// Instructions simulated per workload during DSE (the paper's 100 K
-    /// analysis window, scaled to taste).
-    pub instrs_per_workload: usize,
-    /// Search seed (also the trace seed unless `trace_seed` is set).
-    pub seed: u64,
-    /// Fixes the workload-trace seed independently of the search seed —
-    /// seed sweeps use this so their error bars measure search variance,
-    /// not workload variance.
-    pub trace_seed: Option<u64>,
-    /// Worker threads per evaluator.
-    pub threads: usize,
-    /// Per-simulation cycle budget (`None` = unlimited). Designs that
-    /// exceed it fail as data and are quarantined instead of hanging the
-    /// campaign.
-    pub cycle_budget: Option<u64>,
-    /// Retries (with a halved instruction window each time) before a
-    /// failing design is quarantined.
-    pub max_retries: u32,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            sim_budget: 240,
-            instrs_per_workload: 10_000,
-            seed: 1,
-            trace_seed: None,
-            threads: crate::default_threads(),
-            cycle_budget: None,
-            max_retries: 1,
-        }
-    }
-}
-
-/// Builds the evaluator [`run_method`] would use for this configuration.
-/// Exposed so callers can attach a journal / warm-start it before calling
-/// [`run_method_on`]. Traces resolve through the process-global
-/// [`TraceStore`], so every evaluator a campaign builds for the same
-/// `(workload, trace seed, window)` shares one synthesised trace.
-pub fn build_evaluator(suite: &[Workload], cfg: &CampaignConfig) -> Evaluator {
-    build_evaluator_in(suite, cfg, TraceStore::global())
-}
-
-/// Like [`build_evaluator`], resolving traces through a caller-supplied
-/// [`TraceStore`] — useful to isolate a campaign's hit/miss accounting or
-/// to bound the store's lifetime to the campaign.
-pub fn build_evaluator_in(
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    store: Arc<TraceStore>,
-) -> Evaluator {
-    evaluator_builder(suite, cfg, store).build()
-}
-
-/// The builder behind [`build_evaluator_in`], for callers that add more
-/// settings before building.
-fn evaluator_builder(
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    store: Arc<TraceStore>,
-) -> EvaluatorBuilder {
-    Evaluator::builder(suite.to_vec())
-        .window(cfg.instrs_per_workload)
-        .seed(cfg.trace_seed.unwrap_or(cfg.seed))
-        .trace_store(store)
-        .threads(cfg.threads)
-        .limits(SimLimits {
-            cycle_budget: cfg.cycle_budget,
-            deadlock_watchdog: SimLimits::default().deadlock_watchdog,
-        })
-        .max_retries(cfg.max_retries)
-}
-
-/// Runs one method on a fresh evaluator over the given suite.
-pub fn run_method(
-    method: Method,
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-) -> RunLog {
-    run_method_observed(method, space, suite, cfg, None)
-}
-
-/// Like [`run_method`], but additionally streams per-evaluation
-/// [`archx_telemetry::Progress`] events (simulations done vs. budget,
-/// hypervolume, best trade-off) to `sink`. Events also reach any sinks
-/// registered on the global telemetry registry either way.
-pub fn run_method_observed(
-    method: Method,
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    sink: Option<std::sync::Arc<dyn archx_telemetry::ProgressSink>>,
-) -> RunLog {
-    let evaluator = build_evaluator(suite, cfg);
-    if let Some(sink) = sink {
-        evaluator.set_progress_sink(sink);
-    }
-    run_method_on(method, space, &evaluator, cfg.sim_budget, cfg.seed)
-}
-
-/// Runs one method on a caller-supplied evaluator — the entry point for
-/// resumable campaigns, where the evaluator was warm-started from a
-/// journal (and keeps journaling) before the search begins. The search is
-/// deterministic given `seed`, so a warm-started evaluator replays the
-/// journaled prefix from cache and spends simulations only past it.
+/// Runs one method for `sim_budget` simulations on `evaluator` under the
+/// search seed `seed` — the one way to run a search. Build the evaluator
+/// from an [`EvaluatorBuilder`]; attach a progress sink or a journal (and
+/// warm-start it from one) before calling. The search is deterministic
+/// given `seed`, so a warm-started evaluator replays the journaled prefix
+/// from cache and spends simulations only past it.
 pub fn run_method_on(
     method: Method,
     space: &DesignSpace,
@@ -297,18 +192,6 @@ impl Default for ParallelConfig {
     }
 }
 
-impl ParallelConfig {
-    /// `jobs` concurrent runs with a thread budget that accommodates them
-    /// (`max(jobs, default_threads())`).
-    pub fn with_jobs(jobs: usize) -> Self {
-        let jobs = jobs.max(1);
-        ParallelConfig {
-            jobs,
-            total_threads: jobs.max(crate::default_threads()),
-        }
-    }
-}
-
 /// Campaign execution and aggregation errors.
 #[derive(Debug)]
 pub enum CampaignError {
@@ -367,7 +250,6 @@ pub struct CampaignRunner<'a> {
     parallel: ParallelConfig,
     sink: Option<Arc<dyn ProgressSink>>,
     setup: Option<&'a RunSetup<'a>>,
-    trace_store: Option<Arc<TraceStore>>,
 }
 
 impl fmt::Debug for CampaignRunner<'_> {
@@ -376,7 +258,6 @@ impl fmt::Debug for CampaignRunner<'_> {
             .field("parallel", &self.parallel)
             .field("sink", &self.sink.is_some())
             .field("setup", &self.setup.is_some())
-            .field("trace_store", &self.trace_store.is_some())
             .finish()
     }
 }
@@ -394,7 +275,6 @@ impl<'a> CampaignRunner<'a> {
             parallel: ParallelConfig::default(),
             sink: None,
             setup: None,
-            trace_store: None,
         }
     }
 
@@ -417,27 +297,20 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Resolves every run's traces through `store` instead of the
-    /// process-global [`TraceStore`]. All runs of a campaign share one
-    /// trace seed, so each `(workload, window)` pair is synthesised at
-    /// most once for the whole campaign — even at `jobs > 1`, where the
-    /// first-arriving job synthesises and the rest share the `Arc`.
-    pub fn trace_store(mut self, store: Arc<TraceStore>) -> Self {
-        self.trace_store = Some(store);
-        self
-    }
-
-    /// Runs every spec and returns logs **in spec order**, regardless of
-    /// completion order. Each run gets a fresh evaluator seeded with the
-    /// spec's search seed; workload traces are pinned to
-    /// `cfg.trace_seed.unwrap_or(cfg.seed)` for every run, so multi-seed
-    /// campaigns measure search variance, not workload variance.
+    /// Runs every spec for `sim_budget` simulations and returns logs **in
+    /// spec order**, regardless of completion order. Each run builds a
+    /// fresh evaluator from a clone of `template` (under the campaign's
+    /// thread governor) and searches with the spec's seed. Workload traces
+    /// use the template's seed for every run, so multi-seed campaigns
+    /// measure search variance, not workload variance, and share one
+    /// synthesised trace per `(workload, window)` through the template's
+    /// trace store — even at `jobs > 1`.
     pub fn run_specs(
         &self,
         specs: &[RunSpec],
         space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
+        template: &EvaluatorBuilder,
+        sim_budget: u64,
     ) -> Result<Vec<RunLog>, CampaignError> {
         let _timed = telemetry::span("dse/campaign");
         let governor = ThreadGovernor::new(self.parallel.total_threads);
@@ -448,15 +321,7 @@ impl<'a> CampaignRunner<'a> {
             // A campaign job works under one base governor permit; the
             // evaluator claims extra worker permits only when free.
             let _base = governor.acquire();
-            let run_cfg = CampaignConfig {
-                seed: spec.seed,
-                trace_seed: Some(cfg.trace_seed.unwrap_or(cfg.seed)),
-                ..cfg.clone()
-            };
-            let store = self.trace_store.clone().unwrap_or_else(TraceStore::global);
-            let evaluator = evaluator_builder(suite, &run_cfg, store)
-                .governor(Arc::clone(&governor))
-                .build();
+            let evaluator = template.clone().governor(Arc::clone(&governor)).build();
             if let Some(sink) = &self.sink {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
@@ -471,8 +336,8 @@ impl<'a> CampaignRunner<'a> {
                 spec.method,
                 space,
                 &evaluator,
-                run_cfg.sim_budget,
-                run_cfg.seed,
+                sim_budget,
+                spec.seed,
             ))
         };
 
@@ -508,23 +373,24 @@ impl<'a> CampaignRunner<'a> {
             .collect()
     }
 
-    /// Runs `methods` at `cfg.seed` and collects the campaign.
+    /// Runs `methods` with the template's seed as their search seed and
+    /// collects the campaign.
     pub fn run(
         &self,
         methods: &[Method],
         space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
+        template: &EvaluatorBuilder,
+        sim_budget: u64,
     ) -> Result<Campaign, CampaignError> {
         let specs: Vec<RunSpec> = methods
             .iter()
             .map(|&method| RunSpec {
                 method,
-                seed: cfg.seed,
+                seed: template.trace_seed(),
             })
             .collect();
         Ok(Campaign {
-            logs: self.run_specs(&specs, space, suite, cfg)?,
+            logs: self.run_specs(&specs, space, template, sim_budget)?,
         })
     }
 
@@ -540,8 +406,8 @@ impl<'a> CampaignRunner<'a> {
         &self,
         methods: &[Method],
         space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
+        template: &EvaluatorBuilder,
+        sim_budget: u64,
         seeds: &[u64],
         r: &RefPoint,
         step: u64,
@@ -552,7 +418,7 @@ impl<'a> CampaignRunner<'a> {
             .iter()
             .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
             .collect();
-        let logs = self.run_specs(&specs, space, suite, cfg)?;
+        let logs = self.run_specs(&specs, space, template, sim_budget)?;
         methods
             .iter()
             .enumerate()
@@ -575,32 +441,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Runs `methods` sequentially with identical configuration.
-    pub fn run(
-        methods: &[Method],
-        space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
-    ) -> Self {
-        Self::run_parallel(methods, space, suite, cfg, &ParallelConfig::default())
-    }
-
-    /// Runs `methods` with campaign-level parallelism. Logs are returned
-    /// in method order and are byte-identical to a sequential run — only
-    /// wall-clock changes.
-    pub fn run_parallel(
-        methods: &[Method],
-        space: &DesignSpace,
-        suite: &[Workload],
-        cfg: &CampaignConfig,
-        parallel: &ParallelConfig,
-    ) -> Self {
-        CampaignRunner::new()
-            .parallel(*parallel)
-            .run(methods, space, suite, cfg)
-            .expect("infallible without per-run setup hooks")
-    }
-
     /// Hypervolume curves per method, sampled every `step` simulations.
     pub fn curves(&self, r: &RefPoint, step: u64) -> Vec<(String, Vec<(u64, f64)>)> {
         self.logs
@@ -640,25 +480,6 @@ pub struct SweepCurve {
     pub method: String,
     /// Per budget point: `(simulations, mean hypervolume, std deviation)`.
     pub points: Vec<(u64, f64, f64)>,
-}
-
-/// Runs `methods` across `seeds` (fresh evaluator per run) and aggregates
-/// each method's hypervolume-versus-simulations curve. Sequential
-/// convenience wrapper over [`CampaignRunner::sweep`].
-///
-/// # Panics
-///
-/// Panics when `seeds` is empty or `step` is zero.
-pub fn sweep(
-    methods: &[Method],
-    space: &DesignSpace,
-    suite: &[Workload],
-    cfg: &CampaignConfig,
-    seeds: &[u64],
-    r: &RefPoint,
-    step: u64,
-) -> Result<Vec<SweepCurve>, CampaignError> {
-    CampaignRunner::new().sweep(methods, space, suite, cfg, seeds, r, step)
 }
 
 /// Aggregates one method's per-seed hypervolume curves (mean ± std per
@@ -718,19 +539,19 @@ mod tests {
     use super::*;
     use archx_workloads::spec06_suite;
 
+    /// Two workloads, serial evaluation, the given window and trace seed.
+    fn template(window: usize, seed: u64) -> EvaluatorBuilder {
+        Evaluator::builder(spec06_suite().into_iter().take(2).collect())
+            .window(window)
+            .seed(seed)
+            .threads(1)
+    }
+
     #[test]
     fn tiny_campaign_runs_all_methods() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let cfg = CampaignConfig {
-            sim_budget: 16,
-            instrs_per_workload: 800,
-            seed: 3,
-            trace_seed: None,
-            threads: 1,
-            ..CampaignConfig::default()
-        };
-        let space = DesignSpace::table4();
-        let campaign = Campaign::run(&Method::ALL, &space, &suite, &cfg);
+        let campaign = CampaignRunner::new()
+            .run(&Method::ALL, &DesignSpace::table4(), &template(800, 3), 16)
+            .expect("runs");
         assert_eq!(campaign.logs.len(), Method::ALL.len());
         for log in &campaign.logs {
             assert!(
@@ -747,25 +568,17 @@ mod tests {
 
     #[test]
     fn sweep_aggregates_across_seeds() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let cfg = CampaignConfig {
-            sim_budget: 12,
-            instrs_per_workload: 600,
-            seed: 0,
-            trace_seed: None,
-            threads: 1,
-            ..CampaignConfig::default()
-        };
-        let curves = sweep(
-            &[Method::Random],
-            &DesignSpace::table4(),
-            &suite,
-            &cfg,
-            &[1, 2, 3],
-            &RefPoint::default(),
-            4,
-        )
-        .expect("aligned grids");
+        let curves = CampaignRunner::new()
+            .sweep(
+                &[Method::Random],
+                &DesignSpace::table4(),
+                &template(600, 0),
+                12,
+                &[1, 2, 3],
+                &RefPoint::default(),
+                4,
+            )
+            .expect("aligned grids");
         assert_eq!(curves.len(), 1);
         let c = &curves[0];
         assert!(!c.points.is_empty());
@@ -854,15 +667,7 @@ mod tests {
 
     #[test]
     fn parallel_run_specs_match_sequential_order_and_content() {
-        let suite: Vec<_> = spec06_suite().into_iter().take(2).collect();
-        let cfg = CampaignConfig {
-            sim_budget: 8,
-            instrs_per_workload: 500,
-            seed: 1,
-            trace_seed: None,
-            threads: 1,
-            ..CampaignConfig::default()
-        };
+        let template = template(500, 1);
         let space = DesignSpace::table4();
         let specs: Vec<RunSpec> = [1u64, 2, 3]
             .iter()
@@ -872,12 +677,38 @@ mod tests {
             })
             .collect();
         let serial = CampaignRunner::new()
-            .run_specs(&specs, &space, &suite, &cfg)
+            .run_specs(&specs, &space, &template, 8)
             .expect("runs");
         let parallel = CampaignRunner::new()
-            .parallel(ParallelConfig::with_jobs(3))
-            .run_specs(&specs, &space, &suite, &cfg)
+            .parallel(ParallelConfig {
+                jobs: 3,
+                total_threads: 3,
+            })
+            .run_specs(&specs, &space, &template, 8)
             .expect("runs");
         assert_eq!(serial, parallel, "jobs must not change results or order");
+    }
+
+    #[test]
+    fn run_method_on_reports_exact_sim_count_through_sink() {
+        let evaluator = template(1_000, 1).build(); // 2 workloads => 2 sims per design
+        let sink = Arc::new(telemetry::CollectingSink::new());
+        evaluator.set_progress_sink(sink.clone());
+        let budget = 6;
+        let log = run_method_on(
+            Method::Random,
+            &DesignSpace::table4(),
+            &evaluator,
+            budget,
+            1,
+        );
+        // Random search evaluates whole designs: with 2 workloads and a
+        // budget of 6, exactly 3 designs = 6 simulations are reported.
+        assert_eq!(sink.max_sims_done(), budget);
+        assert_eq!(sink.len(), log.records.len());
+        let last = sink.last().expect("events were emitted");
+        assert_eq!(last.sim_budget, budget);
+        assert_eq!(last.source, Method::Random.to_string());
+        assert!(last.hypervolume > 0.0);
     }
 }

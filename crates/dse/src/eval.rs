@@ -220,13 +220,15 @@ impl Default for ProgressMeta {
     }
 }
 
-/// Staged construction for [`Evaluator`].
+/// Staged construction for [`Evaluator`], and the one description of an
+/// evaluator's configuration.
 ///
-/// Replaces the positional `Evaluator::new(workloads, instrs, seed)`
-/// constructor: every knob is named, defaults are explicit, and traces are
-/// resolved through a shared [`TraceStore`] so concurrent evaluators over
-/// the same `(workload, seed, window)` key share one synthesised trace
-/// zero-copy instead of regenerating it.
+/// Every knob is named and defaults are explicit. Traces are resolved
+/// through a shared [`TraceStore`], so concurrent evaluators over the same
+/// `(workload, seed, window)` key share one synthesised trace zero-copy.
+/// Campaigns and sessions hold a builder as a template and clone it for
+/// every evaluator they build, so all of a campaign's runs see the same
+/// configuration.
 ///
 /// ```
 /// use archx_dse::eval::Evaluator;
@@ -238,7 +240,7 @@ impl Default for ProgressMeta {
 ///     .build();
 /// assert_eq!(eval.workloads().len(), spec06_suite().len());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EvaluatorBuilder {
     workloads: Vec<Workload>,
     window: usize,
@@ -248,7 +250,6 @@ pub struct EvaluatorBuilder {
     governor: Option<Arc<ThreadGovernor>>,
     limits: SimLimits,
     max_retries: u32,
-    journal: Option<Journal>,
 }
 
 impl EvaluatorBuilder {
@@ -266,7 +267,6 @@ impl EvaluatorBuilder {
             governor: None,
             limits: SimLimits::default(),
             max_retries: 1,
-            journal: None,
         }
     }
 
@@ -280,6 +280,12 @@ impl EvaluatorBuilder {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The trace seed set by [`Self::seed`]. Campaigns and sessions that
+    /// search with one seed use it as their search seed too.
+    pub fn trace_seed(&self) -> u64 {
+        self.seed
     }
 
     /// Resolves traces through `store` instead of the process-global
@@ -323,13 +329,6 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Attaches a write-ahead journal from the start; equivalent to
-    /// calling [`Evaluator::set_journal`] on the built evaluator.
-    pub fn journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
     /// Resolves every trace through the store (synthesising at most once
     /// per `(workload, seed, window)` key per store) and builds the
     /// evaluator.
@@ -354,7 +353,7 @@ impl EvaluatorBuilder {
             retries: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
-            journal: Mutex::new(self.journal),
+            journal: Mutex::new(None),
             journal_error: Mutex::new(None),
             progress: Mutex::new(ProgressMeta::default()),
         }
@@ -488,9 +487,8 @@ impl Evaluator {
         meta.sim_budget = sim_budget;
     }
 
-    /// Attaches a per-evaluator progress sink (in addition to any sinks on
-    /// the global telemetry registry). One sink per evaluator; a second
-    /// call replaces the first.
+    /// Attaches the evaluator's progress sink. One sink per evaluator; a
+    /// second call replaces the first.
     pub fn set_progress_sink(&self, sink: Arc<dyn ProgressSink>) {
         lock(&self.progress).sink = Some(sink);
     }
@@ -773,9 +771,8 @@ impl Evaluator {
         })
     }
 
-    /// Publishes one progress event (after each successful uncached
-    /// evaluation) to the per-evaluator sink and the global telemetry
-    /// sinks.
+    /// Records a successful uncached evaluation on the frontier and, when a
+    /// progress sink is attached, publishes one progress event to it.
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
             let mut meta = lock(&self.progress);
@@ -793,7 +790,6 @@ impl Evaluator {
         if let Some(sink) = sink {
             sink.on_progress(&event);
         }
-        telemetry::progress(&event);
     }
 }
 

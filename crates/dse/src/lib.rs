@@ -34,8 +34,8 @@
 //! use archx_workloads::spec06_suite;
 //!
 //! let space = DesignSpace::table4();
-//! let cfg = CampaignConfig { sim_budget: 120, ..Default::default() };
-//! let log = run_method(Method::ArchExplorer, &space, &spec06_suite(), &cfg);
+//! let evaluator = Evaluator::builder(spec06_suite()).window(10_000).build();
+//! let log = run_method_on(Method::ArchExplorer, &space, &evaluator, 120, 1);
 //! println!("explored {} designs", log.records.len());
 //! ```
 
@@ -71,9 +71,8 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
     pub use crate::campaign::{
-        aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method,
-        run_method_observed, run_method_on, sweep, Campaign, CampaignConfig, CampaignError,
-        CampaignRunner, Method, ParallelConfig, RunSpec, SweepCurve,
+        aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
+        Method, ParallelConfig, RunSpec, SweepCurve,
     };
     pub use crate::default_threads;
     pub use crate::eval::{
@@ -89,9 +88,8 @@ pub mod prelude {
 
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
 pub use campaign::{
-    aggregate_curves, build_evaluator, build_evaluator_in, run_journal_path, run_method,
-    run_method_on, sweep, Campaign, CampaignConfig, CampaignError, CampaignRunner, Method,
-    ParallelConfig, RunSpec, SweepCurve,
+    aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
+    Method, ParallelConfig, RunSpec, SweepCurve,
 };
 pub use eval::{
     Analysis, DesignEval, EvalError, EvalFailure, Evaluator, EvaluatorBuilder, QuarantineEntry,

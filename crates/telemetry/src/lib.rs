@@ -12,9 +12,10 @@
 //!   `eval/deg/build` when the evaluator runs it under its `eval` scope.
 //! - **Histograms** — power-of-two-bucketed latency distributions
 //!   (per-design simulation latency, …).
-//! - **Progress sinks** — campaign progress events (simulations done vs.
-//!   budget, current hypervolume, best `Perf²/(Power·Area)`) fan out to
-//!   registered [`ProgressSink`]s.
+//! - **Progress sinks** — the [`Progress`] event type (simulations done
+//!   vs. budget, current hypervolume, best `Perf²/(Power·Area)`) and the
+//!   [`ProgressSink`] trait an evaluator delivers it to, plus
+//!   [`LabelledSink`] and [`CollectingSink`].
 //! - **Reports** — a point-in-time [`Report`] snapshot that renders as
 //!   machine-readable JSON (with a bundled parser for round-trips) or an
 //!   aligned human-readable table (the CLI's `--telemetry json|pretty`).
@@ -42,7 +43,7 @@ mod progress;
 mod registry;
 
 pub use json::{JsonError, JsonValue};
-pub use progress::{CollectingSink, LabelledSink, Progress, ProgressSink, SinkId};
+pub use progress::{CollectingSink, LabelledSink, Progress, ProgressSink};
 pub use registry::{Histogram, HistogramStat, Registry, Report, ScopeGuard, Span, TimerStat};
 
 use std::sync::OnceLock;
@@ -81,9 +82,4 @@ pub fn root_scope() -> ScopeGuard {
 /// Records a value into a named histogram on the global registry.
 pub fn record(name: &str, value: u64) {
     global().record(name, value);
-}
-
-/// Publishes a progress event to every sink on the global registry.
-pub fn progress(event: &Progress) {
-    global().progress(event);
 }

@@ -27,11 +27,6 @@ pub trait ProgressSink: Send + Sync {
     fn on_progress(&self, event: &Progress);
 }
 
-/// Handle returned by [`crate::Registry::add_sink`]; pass back to
-/// [`crate::Registry::remove_sink`] to detach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SinkId(pub(crate) u64);
-
 /// Relabels every event's `source` with a fixed run label before
 /// forwarding to an inner sink.
 ///

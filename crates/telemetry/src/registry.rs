@@ -1,8 +1,7 @@
 //! The metrics registry: counters, hierarchical span timers, histograms,
-//! progress sinks, and report snapshots.
+//! and report snapshots.
 
 use crate::json::{JsonError, JsonValue};
-use crate::progress::{Progress, ProgressSink, SinkId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,8 +102,6 @@ pub struct Registry {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     timers: Mutex<HashMap<String, Arc<TimerCell>>>,
     histograms: Mutex<HashMap<String, Arc<Histogram>>>,
-    sinks: Mutex<Vec<(SinkId, Arc<dyn ProgressSink>)>>,
-    next_sink: AtomicU64,
 }
 
 impl std::fmt::Debug for Registry {
@@ -250,37 +247,6 @@ impl Registry {
         let t = Arc::new(TimerCell::default());
         map.insert(name.to_string(), Arc::clone(&t));
         t
-    }
-
-    /// Registers a progress sink; events from [`Registry::progress`] are
-    /// delivered to it until [`Registry::remove_sink`].
-    pub fn add_sink(&self, sink: Arc<dyn ProgressSink>) -> SinkId {
-        let id = SinkId(self.next_sink.fetch_add(1, Ordering::Relaxed));
-        self.sinks.lock().unwrap().push((id, sink));
-        id
-    }
-
-    /// Unregisters a progress sink.
-    pub fn remove_sink(&self, id: SinkId) {
-        self.sinks.lock().unwrap().retain(|(i, _)| *i != id);
-    }
-
-    /// Publishes a progress event to every registered sink.
-    pub fn progress(&self, event: &Progress) {
-        if !self.enabled() {
-            return;
-        }
-        // Clone the sink list out so sinks can add/remove sinks.
-        let sinks: Vec<Arc<dyn ProgressSink>> = self
-            .sinks
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(_, s)| Arc::clone(s))
-            .collect();
-        for sink in sinks {
-            sink.on_progress(event);
-        }
     }
 
     /// Point-in-time snapshot of every counter, timer, and histogram,

@@ -5,7 +5,6 @@
 //! cargo run -p archx-examples --release --bin dse_shootout [SIM_BUDGET]
 //! ```
 
-use archexplorer::dse::campaign::Campaign;
 use archexplorer::dse::prelude::*;
 use archexplorer::workloads::spec06_suite;
 
@@ -16,18 +15,15 @@ fn main() {
         .unwrap_or(160);
     let suite: Vec<_> = spec06_suite().into_iter().take(4).collect();
     let space = DesignSpace::table4();
-    let cfg = CampaignConfig {
-        sim_budget: budget,
-        instrs_per_workload: 8_000,
-        seed: 7,
-        ..Default::default()
-    };
+    let template = Evaluator::builder(suite).window(8_000).seed(7);
 
     println!(
         "running {} methods, {budget} simulations each...",
         Method::ALL.len()
     );
-    let campaign = Campaign::run(&Method::ALL, &space, &suite, &cfg);
+    let campaign = CampaignRunner::new()
+        .run(&Method::ALL, &space, &template, budget)
+        .expect("no per-run setup to fail");
 
     let r = RefPoint::default();
     let step = (budget / 10).max(1);

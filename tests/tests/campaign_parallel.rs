@@ -5,30 +5,21 @@
 //! `--journal`/`--resume` work when runs execute concurrently.
 
 use archexplorer::dse::campaign::{
-    run_journal_path, CampaignConfig, CampaignRunner, Method, ParallelConfig, RunSpec,
+    run_journal_path, run_method_on, CampaignRunner, Method, ParallelConfig, RunSpec,
 };
 use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn suite() -> Vec<Workload> {
+/// Two equally weighted workloads at a 700-instruction window, trace seed
+/// 1, serial evaluation.
+fn template() -> EvaluatorBuilder {
     let mut s: Vec<_> = spec06_suite().into_iter().take(2).collect();
     for w in &mut s {
         w.weight = 0.5;
     }
-    s
-}
-
-fn cfg(budget: u64) -> CampaignConfig {
-    CampaignConfig {
-        sim_budget: budget,
-        instrs_per_workload: 700,
-        seed: 1,
-        trace_seed: None,
-        threads: 1,
-        ..CampaignConfig::default()
-    }
+    Evaluator::builder(s).window(700).seed(1).threads(1)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -49,20 +40,20 @@ fn all_method_specs(seeds: &[u64]) -> Vec<RunSpec> {
 fn parallel_campaign_is_byte_identical_to_sequential() {
     // The acceptance campaign: every method x 2 seeds, jobs=4 under a
     // 4-thread governor, compared against the sequential run.
-    let suite = suite();
-    let cfg = cfg(8);
+    let template = template();
+    let budget = 8;
     let space = DesignSpace::table4();
     let specs = all_method_specs(&[1, 2]);
 
     let serial = CampaignRunner::new()
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, budget)
         .expect("serial campaign");
     let parallel = CampaignRunner::new()
         .parallel(ParallelConfig {
             jobs: 4,
             total_threads: 4,
         })
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, budget)
         .expect("parallel campaign");
 
     assert_eq!(serial.len(), specs.len());
@@ -76,19 +67,58 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
 }
 
 #[test]
+fn campaign_runs_equal_run_method_on_a_fresh_evaluator_from_the_template() {
+    // The campaign adds nothing between the template and the search
+    // primitive: at any job count, each run's log is the log of
+    // `run_method_on` on an evaluator built from the same template.
+    let template = template();
+    let budget = 8;
+    let space = DesignSpace::table4();
+    let specs = all_method_specs(&[1, 2]);
+    let direct: Vec<RunLog> = specs
+        .iter()
+        .map(|spec| {
+            run_method_on(
+                spec.method,
+                &space,
+                &template.clone().build(),
+                budget,
+                spec.seed,
+            )
+        })
+        .collect();
+    for jobs in [1, 3] {
+        let logs = CampaignRunner::new()
+            .parallel(ParallelConfig {
+                jobs,
+                total_threads: jobs,
+            })
+            .run_specs(&specs, &space, &template, budget)
+            .expect("campaign");
+        for ((spec, run), want) in specs.iter().zip(&logs).zip(&direct) {
+            assert_eq!(run, want, "{} at jobs={jobs}", spec.label());
+        }
+    }
+}
+
+#[test]
 fn parallel_sweep_matches_sequential_sweep() {
-    let suite = suite();
-    let cfg = cfg(8);
+    let template = template();
+    let budget = 8;
     let space = DesignSpace::table4();
     let methods = [Method::Random, Method::ArchExplorer];
     let seeds = [1u64, 2, 3];
     let r = RefPoint::default();
 
-    let serial = archexplorer::dse::campaign::sweep(&methods, &space, &suite, &cfg, &seeds, &r, 4)
+    let serial = CampaignRunner::new()
+        .sweep(&methods, &space, &template, budget, &seeds, &r, 4)
         .expect("serial sweep");
     let parallel = CampaignRunner::new()
-        .parallel(ParallelConfig::with_jobs(3))
-        .sweep(&methods, &space, &suite, &cfg, &seeds, &r, 4)
+        .parallel(ParallelConfig {
+            jobs: 3,
+            total_threads: 3,
+        })
+        .sweep(&methods, &space, &template, budget, &seeds, &r, 4)
         .expect("parallel sweep");
     assert_eq!(serial, parallel, "sweep curves must not depend on jobs");
     assert_eq!(serial.len(), methods.len());
@@ -96,8 +126,8 @@ fn parallel_sweep_matches_sequential_sweep() {
 
 #[test]
 fn labelled_progress_attributes_interleaved_events_to_their_run() {
-    let suite = suite();
-    let cfg = cfg(6);
+    let template = template();
+    let budget = 6;
     let space = DesignSpace::table4();
     let specs = all_method_specs(&[5]);
     let sink = Arc::new(archexplorer::telemetry::CollectingSink::new());
@@ -107,7 +137,7 @@ fn labelled_progress_attributes_interleaved_events_to_their_run() {
             total_threads: 3,
         })
         .progress_sink(sink.clone())
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, budget)
         .expect("campaign");
     let events = sink.events();
     assert!(!events.is_empty(), "runs must emit progress");
@@ -131,8 +161,8 @@ fn labelled_progress_attributes_interleaved_events_to_their_run() {
 #[test]
 fn concurrent_runs_journal_to_distinct_files_and_resume() {
     let dir = temp_dir("journal");
-    let suite = suite();
-    let cfg = cfg(8);
+    let template = template();
+    let budget = 8;
     let space = DesignSpace::table4();
     let specs = all_method_specs(&[1, 2]);
 
@@ -152,7 +182,7 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
             total_threads: 4,
         })
         .setup(&setup)
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, budget)
         .expect("journaled campaign");
 
     // Every run journaled to its own file.
@@ -196,7 +226,7 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
             total_threads: 4,
         })
         .setup(&resume_setup)
-        .run_specs(&specs, &space, &suite, &cfg)
+        .run_specs(&specs, &space, &template, budget)
         .expect("resumed campaign");
     for ((spec, full), res) in specs.iter().zip(&logs).zip(&resumed) {
         assert_eq!(

@@ -1,18 +1,19 @@
 //! End-to-end DSE behaviour: budget accounting, determinism, and
 //! ArchExplorer's edge over unguided search at equal budgets.
 
-use archexplorer::dse::campaign::{run_method, CampaignConfig};
+use archexplorer::dse::campaign::run_method_on;
 use archexplorer::prelude::*;
 
-fn cfg(budget: u64) -> CampaignConfig {
-    CampaignConfig {
-        sim_budget: budget,
-        instrs_per_workload: 4_000,
-        seed: 11,
-        trace_seed: None,
-        threads: 2,
-        ..CampaignConfig::default()
-    }
+/// Runs `method` for `budget` simulations on a fresh evaluator over
+/// [`suite`] (4 000-instruction window), with seed 11 for traces and
+/// search.
+fn run(method: Method, budget: u64) -> RunLog {
+    let evaluator = Evaluator::builder(suite())
+        .window(4_000)
+        .seed(11)
+        .threads(2)
+        .build();
+    run_method_on(method, &DesignSpace::table4(), &evaluator, budget, 11)
 }
 
 fn suite() -> Vec<Workload> {
@@ -25,19 +26,17 @@ fn suite() -> Vec<Workload> {
 
 #[test]
 fn methods_are_deterministic() {
-    let space = DesignSpace::table4();
     for m in [Method::ArchExplorer, Method::Random, Method::BoomExplorer] {
-        let a = run_method(m, &space, &suite(), &cfg(24));
-        let b = run_method(m, &space, &suite(), &cfg(24));
+        let a = run(m, 24);
+        let b = run(m, 24);
         assert_eq!(a, b, "{m:?} must be deterministic");
     }
 }
 
 #[test]
 fn every_method_respects_its_budget() {
-    let space = DesignSpace::table4();
     for m in Method::ALL {
-        let log = run_method(m, &space, &suite(), &cfg(21));
+        let log = run(m, 21);
         let last = log.records.last().expect("non-empty log").sims_after;
         assert!(last >= 21, "{m:?} stopped early at {last}");
         assert!(last <= 21 + 3, "{m:?} overshot to {last}");
@@ -46,10 +45,9 @@ fn every_method_respects_its_budget() {
 
 #[test]
 fn archexplorer_beats_random_at_equal_budget() {
-    let space = DesignSpace::table4();
     let budget = 90;
-    let ax = run_method(Method::ArchExplorer, &space, &suite(), &cfg(budget));
-    let rnd = run_method(Method::Random, &space, &suite(), &cfg(budget));
+    let ax = run(Method::ArchExplorer, budget);
+    let rnd = run(Method::Random, budget);
     let best_ax = ax.best_tradeoff().expect("non-empty").ppa.tradeoff();
     let best_rnd = rnd.best_tradeoff().expect("non-empty").ppa.tradeoff();
     assert!(
@@ -60,8 +58,7 @@ fn archexplorer_beats_random_at_equal_budget() {
 
 #[test]
 fn exploration_set_hypervolume_is_monotone_over_the_run() {
-    let space = DesignSpace::table4();
-    let log = run_method(Method::ArchExplorer, &space, &suite(), &cfg(45));
+    let log = run(Method::ArchExplorer, 45);
     let curve = log.hypervolume_curve(&RefPoint::default(), 9);
     assert!(!curve.is_empty());
     for w in curve.windows(2) {
@@ -116,8 +113,7 @@ fn constrained_objective_finds_feasible_designs() {
 
 #[test]
 fn frontier_designs_are_mutually_nondominated() {
-    let space = DesignSpace::table4();
-    let log = run_method(Method::Random, &space, &suite(), &cfg(45));
+    let log = run(Method::Random, 45);
     let frontier = log.frontier();
     for (i, (_, a)) in frontier.iter().enumerate() {
         for (j, (_, b)) in frontier.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! it, and the per-thread reused buffers never change an evaluation
 //! result.
 
-use archexplorer::dse::campaign::{CampaignConfig, CampaignRunner, ParallelConfig, RunSpec};
+use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig, RunSpec};
 use archexplorer::prelude::*;
 use archexplorer::workloads::TraceStore;
 use std::sync::Arc;
@@ -21,18 +21,15 @@ fn suite(n: usize) -> Vec<Workload> {
 #[test]
 fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
     let suite = suite(3);
-    let cfg = CampaignConfig {
-        sim_budget: 8,
-        instrs_per_workload: 600,
-        seed: 1,
-        trace_seed: None,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
     // 4 concurrent jobs, every run over the same trace seed: the store
     // must miss exactly once per workload — the first-arriving job
     // synthesises, the other three share the Arc.
     let store = Arc::new(TraceStore::new());
+    let template = Evaluator::builder(suite.clone())
+        .window(600)
+        .seed(1)
+        .trace_store(Arc::clone(&store))
+        .threads(1);
     let specs: Vec<RunSpec> = [1u64, 2, 3, 4]
         .iter()
         .map(|&seed| RunSpec {
@@ -41,9 +38,11 @@ fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
         })
         .collect();
     let logs = CampaignRunner::new()
-        .parallel(ParallelConfig::with_jobs(4))
-        .trace_store(Arc::clone(&store))
-        .run_specs(&specs, &DesignSpace::table4(), &suite, &cfg)
+        .parallel(ParallelConfig {
+            jobs: 4,
+            total_threads: 4,
+        })
+        .run_specs(&specs, &DesignSpace::table4(), &template, 8)
         .expect("campaign runs");
     assert_eq!(logs.len(), specs.len());
     assert_eq!(
@@ -60,15 +59,7 @@ fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
 
 #[test]
 fn campaign_store_results_match_per_run_generation() {
-    let suite = suite(2);
-    let cfg = CampaignConfig {
-        sim_budget: 6,
-        instrs_per_workload: 500,
-        seed: 5,
-        trace_seed: None,
-        threads: 1,
-        ..CampaignConfig::default()
-    };
+    let template = Evaluator::builder(suite(2)).window(500).seed(5).threads(1);
     let specs = [RunSpec {
         method: Method::Random,
         seed: 5,
@@ -76,14 +67,17 @@ fn campaign_store_results_match_per_run_generation() {
     let space = DesignSpace::table4();
     // Two dedicated stores: each campaign synthesises independently, so
     // identical logs prove the store itself adds nothing to the results.
-    let a = CampaignRunner::new()
-        .trace_store(Arc::new(TraceStore::new()))
-        .run_specs(&specs, &space, &suite, &cfg)
-        .expect("runs");
-    let b = CampaignRunner::new()
-        .trace_store(Arc::new(TraceStore::new()))
-        .run_specs(&specs, &space, &suite, &cfg)
-        .expect("runs");
+    let run = || {
+        CampaignRunner::new()
+            .run_specs(
+                &specs,
+                &space,
+                &template.clone().trace_store(Arc::new(TraceStore::new())),
+                6,
+            )
+            .expect("runs")
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a, b);
 }
 

@@ -4,7 +4,7 @@
 //! journaled campaign must resume to the same frontier without
 //! re-simulating journaled designs.
 
-use archexplorer::dse::campaign::{build_evaluator, run_method_on, CampaignConfig};
+use archexplorer::dse::campaign::run_method_on;
 use archexplorer::dse::journal::{Journal, JournalError};
 use archexplorer::prelude::*;
 use std::path::PathBuf;
@@ -17,15 +17,10 @@ fn suite() -> Vec<Workload> {
     s
 }
 
-fn cfg(budget: u64) -> CampaignConfig {
-    CampaignConfig {
-        sim_budget: budget,
-        instrs_per_workload: 2_000,
-        seed: 9,
-        trace_seed: None,
-        threads: 2,
-        ..CampaignConfig::default()
-    }
+/// The campaigns' evaluator: two workloads at a 2 000-instruction window,
+/// trace seed 9.
+fn template() -> EvaluatorBuilder {
+    Evaluator::builder(suite()).window(2_000).seed(9).threads(2)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -73,7 +68,7 @@ fn mixed_campaign_quarantines_failures_and_keeps_searching() {
     // count from its per-workload IPC, and pick the midpoint.
     let space = DesignSpace::table4();
     let instrs = 2_000u64;
-    let probe = build_evaluator(&suite(), &cfg(16));
+    let probe = template().build();
     let log = run_method_on(Method::Random, &space, &probe, 16, 9);
     let cycles_of = |arch: &MicroArch| -> u64 {
         let e = probe.evaluate(arch).expect("unlimited run succeeds");
@@ -94,14 +89,13 @@ fn mixed_campaign_quarantines_failures_and_keeps_searching() {
     // Re-run the same seeded search under the splitting budget with
     // retries off: slow designs are quarantined, fast ones keep the
     // search fed, and the budget still completes.
-    let limited = build_evaluator(
-        &suite(),
-        &CampaignConfig {
+    let limited = template()
+        .limits(SimLimits {
             cycle_budget: Some(split),
-            max_retries: 0,
-            ..cfg(16)
-        },
-    );
+            ..SimLimits::default()
+        })
+        .max_retries(0)
+        .build();
     let log = run_method_on(Method::Random, &space, &limited, 16, 9);
     assert!(limited.sim_count() >= 16, "budget must complete");
     assert!(limited.quarantine_len() > 0, "slow designs must fail");
@@ -119,7 +113,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     let budget = 24;
 
     // Reference campaign, journaled to completion.
-    let ev_full = build_evaluator(&suite(), &cfg(budget));
+    let ev_full = template().build();
     let fp = ev_full.fingerprint(vec![("method".into(), "Random".into())]);
     ev_full.set_journal(Journal::create(&full_path, &fp).expect("create journal"));
     let log_full = run_method_on(Method::Random, &DesignSpace::table4(), &ev_full, budget, 9);
@@ -144,7 +138,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     // Resume: journaled designs replay from the journal (no simulation),
     // the budget picks up where the kill left off, and the deterministic
     // search reaches the same frontier.
-    let ev_res = build_evaluator(&suite(), &cfg(budget));
+    let ev_res = template().build();
     let (journal, records) = Journal::resume(
         &killed_path,
         &ev_res.fingerprint(vec![("method".into(), "Random".into())]),
@@ -168,7 +162,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
 
     // The resumed journal now covers the whole campaign: resuming it
     // again replays everything and simulates nothing.
-    let ev_done = build_evaluator(&suite(), &cfg(budget));
+    let ev_done = template().build();
     let (_, records) = Journal::resume(
         &killed_path,
         &ev_done.fingerprint(vec![("method".into(), "Random".into())]),
@@ -183,7 +177,7 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
 fn resume_rejects_a_mismatched_campaign() {
     let dir = temp_dir("mismatch");
     let path = dir.join("j.jsonl");
-    let ev = build_evaluator(&suite(), &cfg(8));
+    let ev = template().build();
     let fp = ev.fingerprint(vec![]);
     drop(Journal::create(&path, &fp).expect("create"));
 
@@ -209,7 +203,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let dir = temp_dir("torn");
     let path = dir.join("full.jsonl");
     let budget = 12;
-    let ev = build_evaluator(&suite(), &cfg(budget));
+    let ev = template().build();
     let fp = ev.fingerprint(vec![("method".into(), "Random".into())]);
     ev.set_journal(Journal::create(&path, &fp).expect("create journal"));
     run_method_on(Method::Random, &DesignSpace::table4(), &ev, budget, 9);
@@ -230,7 +224,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let torn_path = dir.join("torn.jsonl");
     std::fs::write(&torn_path, &text[..cut]).expect("write torn journal");
 
-    let ev_torn = build_evaluator(&suite(), &cfg(budget));
+    let ev_torn = template().build();
     let (_, records) = Journal::resume(
         &torn_path,
         &ev_torn.fingerprint(vec![("method".into(), "Random".into())]),
@@ -251,7 +245,7 @@ fn torn_tail_is_reevaluated_but_interior_corruption_is_fatal() {
     let corrupt_path = dir.join("corrupt.jsonl");
     std::fs::write(&corrupt_path, lines.join("\n") + "\n").expect("write corrupt journal");
 
-    let ev_corrupt = build_evaluator(&suite(), &cfg(budget));
+    let ev_corrupt = template().build();
     let err = Journal::resume(
         &corrupt_path,
         &ev_corrupt.fingerprint(vec![("method".into(), "Random".into())]),
