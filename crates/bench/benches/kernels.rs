@@ -1,9 +1,10 @@
 //! Criterion benchmarks of the algorithmic kernels: the cycle-level
 //! simulator, DEG construction, induced-DEG virtual edges, critical-path
-//! DP, exact 3-D hypervolume, and the surrogate models.
+//! DP, the fused DEG analysis, exact 3-D hypervolume, and the surrogate
+//! models.
 
 use archexplorer::deg::bottleneck;
-use archexplorer::deg::{build_deg, critical, induce};
+use archexplorer::deg::{build_deg, critical, fused, induce};
 use archexplorer::dse::ml::{AdaBoostRt, GaussianProcess};
 use archexplorer::dse::pareto::{hypervolume, RefPoint};
 use archexplorer::dse::space::DesignSpace;
@@ -58,6 +59,9 @@ fn bench_deg(c: &mut Criterion) {
             |mut d| black_box(critical::critical_path(&mut d)).total_delay,
             BatchSize::LargeInput,
         )
+    });
+    g.bench_function("fused_10k", |b| {
+        b.iter(|| black_box(fused::analyze(&result)).0.total_delay)
     });
     g.finish();
 }

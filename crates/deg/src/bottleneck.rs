@@ -23,7 +23,7 @@
 use crate::critical::CriticalPath;
 use crate::graph::{Deg, EdgeKind, Stage};
 use archx_sim::config::L1_HIT_CYCLES;
-use archx_sim::trace::{FuKind, ResourceKind};
+use archx_sim::trace::{Cycle, FuKind, ResourceKind};
 use std::fmt;
 
 /// Number of bottleneck sources (the length of [`BottleneckSource::ALL`]).
@@ -102,10 +102,8 @@ impl BottleneckSource {
 
     /// Index within [`BottleneckSource::ALL`].
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&s| s == self)
-            .expect("all variants listed")
+        // `ALL` lists the variants in declaration order.
+        self as usize
     }
 
     /// Whether the DSE can reassign hardware to address this source.
@@ -219,56 +217,75 @@ impl BottleneckReport {
 pub fn analyze(deg: &Deg, path: &CriticalPath) -> BottleneckReport {
     let mut cycles = [0u64; NUM_SOURCES];
     for e in &path.edges {
-        let w = deg.interval(e);
-        if w == 0 {
-            continue;
+        attribute_cycles(deg.locate(e.from).1, e.kind, deg.interval(e), &mut cycles);
+    }
+    report_from_cycles(&cycles, path.total_delay)
+}
+
+/// Adds the `w` cycles of one critical-path edge of `kind`, leaving a
+/// vertex of stage `from`, to the sources they are attributed to — the
+/// per-edge rule of Eq. 1, pipeline base/excess split included.
+pub(crate) fn attribute_cycles(
+    from: Stage,
+    kind: EdgeKind,
+    w: Cycle,
+    cycles: &mut [u64; NUM_SOURCES],
+) {
+    if w == 0 {
+        return;
+    }
+    match kind {
+        EdgeKind::Resource(kind) => cycles[resource_source(kind).index()] += w,
+        EdgeKind::Fu(kind) => cycles[fu_source(kind).index()] += w,
+        EdgeKind::Mispredict => cycles[BottleneckSource::BPred.index()] += w,
+        EdgeKind::Data => cycles[BottleneckSource::TrueDep.index()] += w,
+        EdgeKind::FetchSlot | EdgeKind::FetchBw => {
+            cycles[BottleneckSource::FetchQueue.index()] += w
         }
-        match e.kind {
-            EdgeKind::Resource(kind) => cycles[resource_source(kind).index()] += w,
-            EdgeKind::Fu(kind) => cycles[fu_source(kind).index()] += w,
-            EdgeKind::Mispredict => cycles[BottleneckSource::BPred.index()] += w,
-            EdgeKind::Data => cycles[BottleneckSource::TrueDep.index()] += w,
-            EdgeKind::FetchSlot | EdgeKind::FetchBw => {
-                cycles[BottleneckSource::FetchQueue.index()] += w
-            }
-            EdgeKind::MemDep => cycles[BottleneckSource::MemDep.index()] += w,
-            EdgeKind::Virtual => cycles[BottleneckSource::Unattributed.index()] += w,
-            EdgeKind::Pipeline => {
-                let (_, stage) = deg.locate(e.from);
-                let (base, excess_src) = match stage {
-                    // I-cache access: hit latency is irreducible, the rest
-                    // is miss time.
-                    Stage::F1 => (L1_HIT_CYCLES, BottleneckSource::ICache),
-                    // Waiting in the fetch buffer for fetch-queue space.
-                    Stage::F2 => (0, BottleneckSource::FetchQueue),
-                    // Front-end bandwidth.
-                    Stage::F | Stage::Dc => (1, BottleneckSource::Width),
-                    Stage::R => (1, BottleneckSource::Base),
-                    // Waiting in the issue queue beyond the dispatch cycle
-                    // (scheduling/bandwidth; operand and FU waits have their
-                    // own skewed edges).
-                    Stage::Dp => (0, BottleneckSource::Width),
-                    Stage::I => (1, BottleneckSource::Base),
-                    // Memory time beyond the L1 hit: D-cache misses.
-                    Stage::M => (L1_HIT_CYCLES, BottleneckSource::DCache),
-                    // Commit-order wait beyond the writeback cycle.
-                    Stage::P => (1, BottleneckSource::Width),
-                    Stage::C => (0, BottleneckSource::Base),
-                };
-                let base_part = w.min(base);
-                cycles[BottleneckSource::Base.index()] += base_part;
-                cycles[excess_src.index()] += w - base_part;
-            }
+        EdgeKind::MemDep => cycles[BottleneckSource::MemDep.index()] += w,
+        EdgeKind::Virtual => cycles[BottleneckSource::Unattributed.index()] += w,
+        EdgeKind::Pipeline => {
+            let (base, excess_src) = match from {
+                // I-cache access: hit latency is irreducible, the rest
+                // is miss time.
+                Stage::F1 => (L1_HIT_CYCLES, BottleneckSource::ICache),
+                // Waiting in the fetch buffer for fetch-queue space.
+                Stage::F2 => (0, BottleneckSource::FetchQueue),
+                // Front-end bandwidth.
+                Stage::F | Stage::Dc => (1, BottleneckSource::Width),
+                Stage::R => (1, BottleneckSource::Base),
+                // Waiting in the issue queue beyond the dispatch cycle
+                // (scheduling/bandwidth; operand and FU waits have their
+                // own skewed edges).
+                Stage::Dp => (0, BottleneckSource::Width),
+                Stage::I => (1, BottleneckSource::Base),
+                // Memory time beyond the L1 hit: D-cache misses.
+                Stage::M => (L1_HIT_CYCLES, BottleneckSource::DCache),
+                // Commit-order wait beyond the writeback cycle.
+                Stage::P => (1, BottleneckSource::Width),
+                Stage::C => (0, BottleneckSource::Base),
+            };
+            let base_part = w.min(base);
+            cycles[BottleneckSource::Base.index()] += base_part;
+            cycles[excess_src.index()] += w - base_part;
         }
     }
-    let length = path.total_delay.max(1);
+}
+
+/// The report for per-source critical-path `cycles` over a path spanning
+/// `total_delay` cycles.
+pub(crate) fn report_from_cycles(
+    cycles: &[u64; NUM_SOURCES],
+    total_delay: Cycle,
+) -> BottleneckReport {
+    let length = total_delay.max(1);
     let mut contributions = [0.0f64; NUM_SOURCES];
     for (i, c) in cycles.iter().enumerate() {
         contributions[i] = *c as f64 / length as f64;
     }
     BottleneckReport {
         contributions,
-        length: path.total_delay,
+        length: total_delay,
     }
 }
 
@@ -482,6 +499,13 @@ mod tests {
             BottleneckSource::FpRf,
         ] {
             assert!(rep.contribution(BottleneckSource::IntRf) >= rep.contribution(other));
+        }
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, s) in BottleneckSource::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i, "{s}");
         }
     }
 

@@ -7,8 +7,8 @@
 //! simulator's scoreboard — which instruction's release of which entry
 //! unblocked each stall.
 
-use crate::graph::{Deg, EdgeKind, Stage};
-use archx_sim::trace::{InstrIdx, SimResult, NO_INSTR};
+use crate::graph::{node_id, Deg, EdgeKind, NodeId, Stage};
+use archx_sim::trace::{Cycle, InstrEvents, InstrIdx, SimResult, NO_INSTR};
 
 /// Builds the new-formulation DEG for a full simulation result.
 pub fn build_deg(result: &SimResult) -> Deg {
@@ -25,125 +25,118 @@ pub fn build_deg(result: &SimResult) -> Deg {
 ///
 /// Panics if the window is out of bounds or empty.
 pub fn build_deg_window(result: &SimResult, start: usize, end: usize) -> Deg {
-    let mut deg = Deg::default();
-    build_deg_into(result, start, end, &mut deg);
-    deg
-}
-
-/// Like [`build_deg_window`], but overwrites `deg` in place: whatever graph
-/// it held is discarded, and its vertex, edge and CSR storage is reused.
-/// The result equals what [`build_deg_window`] returns.
-///
-/// ```
-/// use archx_deg::{build::build_deg_into, build_deg, critical_path, induce, Deg};
-/// use archx_sim::{trace_gen, MicroArch, OooCore};
-/// let core = OooCore::new(MicroArch::baseline());
-/// let mut deg = Deg::default();
-/// for n in [800, 300] {
-///     let result = core.run(&trace_gen::mixed_workload(n, 1)).expect("simulates");
-///     build_deg_into(&result, 0, n, &mut deg);
-///     assert_eq!(deg, build_deg(&result));
-///     let mut induced = induce(std::mem::take(&mut deg));
-///     assert_eq!(critical_path(&mut induced).total_delay, result.trace.cycles);
-///     deg = induced; // hand the storage back for the next round
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics if the window is out of bounds or empty.
-pub fn build_deg_into(result: &SimResult, start: usize, end: usize, deg: &mut Deg) {
     assert!(
         start < end && end <= result.trace.events.len(),
         "bad window"
     );
     let _timed = archx_telemetry::span("deg/build");
     let events = &result.trace.events[start..end];
-    deg.reset(
+    let mut deg = Deg::new(
         events.len() as u32,
-        events.iter().flat_map(|ev| {
-            [
-                ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
-            ]
-        }),
+        events.iter().flat_map(stage_times).collect(),
     );
+    let local = window_local(start, end);
+    for (j, ev) in events.iter().enumerate() {
+        let j = j as InstrIdx;
+        // Pipeline chain F1→F2→F→DC→R→DP→I→M→P→C.
+        for w in Stage::ALL.windows(2) {
+            deg.add_edge(deg.node(j, w[0]), deg.node(j, w[1]), EdgeKind::Pipeline);
+        }
+        skewed_edges(ev, j, &local, |from, to, kind| deg.add_edge(from, to, kind));
+    }
+    deg
+}
 
-    let in_window = |idx: InstrIdx| -> Option<InstrIdx> {
+/// The event times of one instruction's ten vertices, in stage order.
+pub(crate) fn stage_times(ev: &InstrEvents) -> [Cycle; 10] {
+    [
+        ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
+    ]
+}
+
+/// Maps a trace index to its index within the window `[start, end)`, or
+/// `None` when it lies outside (or is [`NO_INSTR`]).
+pub(crate) fn window_local(start: usize, end: usize) -> impl Fn(InstrIdx) -> Option<InstrIdx> {
+    move |idx| {
         if idx == NO_INSTR {
             return None;
         }
         let i = idx as usize;
         (i >= start && i < end).then(|| (i - start) as InstrIdx)
-    };
+    }
+}
 
-    for (local, ev) in events.iter().enumerate() {
-        let j = local as InstrIdx;
-        // Pipeline chain F1→F2→F→DC→R→DP→I→M→P→C.
-        for w in Stage::ALL.windows(2) {
-            deg.add_edge(deg.node(j, w[0]), deg.node(j, w[1]), EdgeKind::Pipeline);
-        }
-        // Fetch-buffer slot dependence: F(releaser) → F1(j).
-        if let Some(from) = ev.fetch_slot_from.and_then(in_window) {
-            deg.add_edge(
-                deg.node(from, Stage::F),
-                deg.node(j, Stage::F1),
-                EdgeKind::FetchSlot,
+/// Calls `edge(from, to, kind)` for every skewed edge of Table 2 that ends
+/// at window-local instruction `j` (whose events are `ev`), in the order
+/// the DEG inserts them. `local` maps the trace indices `ev` names into
+/// the window; edges from outside it are skipped.
+pub(crate) fn skewed_edges(
+    ev: &InstrEvents,
+    j: InstrIdx,
+    local: impl Fn(InstrIdx) -> Option<InstrIdx>,
+    mut edge: impl FnMut(NodeId, NodeId, EdgeKind),
+) {
+    // Fetch-buffer slot dependence: F(releaser) → F1(j).
+    if let Some(from) = ev.fetch_slot_from.and_then(&local) {
+        edge(
+            node_id(from, Stage::F),
+            node_id(j, Stage::F1),
+            EdgeKind::FetchSlot,
+        );
+    }
+    // Fetch bandwidth / fetch-queue dependence: F(releaser) → F(j).
+    if let Some(from) = ev.fetch_bw_from.and_then(&local) {
+        edge(
+            node_id(from, Stage::F),
+            node_id(j, Stage::F),
+            EdgeKind::FetchBw,
+        );
+    }
+    // Misprediction squash: P(branch) → F1(first refilled).
+    if let Some(from) = ev.refill_from.and_then(&local) {
+        edge(
+            node_id(from, Stage::P),
+            node_id(j, Stage::F1),
+            EdgeKind::Mispredict,
+        );
+    }
+    // Hardware-resource usage dependencies: R(releaser) → R(j).
+    for stall in &ev.rename_stalls {
+        if let Some(rel) = local(stall.releaser) {
+            edge(
+                node_id(rel, Stage::R),
+                node_id(j, Stage::R),
+                EdgeKind::Resource(stall.resource),
             );
         }
-        // Fetch bandwidth / fetch-queue dependence: F(releaser) → F(j).
-        if let Some(from) = ev.fetch_bw_from.and_then(in_window) {
-            deg.add_edge(
-                deg.node(from, Stage::F),
-                deg.node(j, Stage::F),
-                EdgeKind::FetchBw,
+    }
+    // Functional-unit usage dependence: I(releaser) → I(j).
+    if let Some(wait) = ev.fu_wait {
+        if let Some(rel) = local(wait.releaser) {
+            edge(
+                node_id(rel, Stage::I),
+                node_id(j, Stage::I),
+                EdgeKind::Fu(wait.fu),
             );
         }
-        // Misprediction squash: P(branch) → F1(first refilled).
-        if let Some(from) = ev.refill_from.and_then(in_window) {
-            deg.add_edge(
-                deg.node(from, Stage::P),
-                deg.node(j, Stage::F1),
-                EdgeKind::Mispredict,
+    }
+    // True data dependencies: I(producer) → I(j).
+    for &d in &ev.data_deps {
+        if let Some(prod) = local(d) {
+            edge(
+                node_id(prod, Stage::I),
+                node_id(j, Stage::I),
+                EdgeKind::Data,
             );
         }
-        // Hardware-resource usage dependencies: R(releaser) → R(j).
-        for stall in &ev.rename_stalls {
-            if let Some(rel) = in_window(stall.releaser) {
-                deg.add_edge(
-                    deg.node(rel, Stage::R),
-                    deg.node(j, Stage::R),
-                    EdgeKind::Resource(stall.resource),
-                );
-            }
-        }
-        // Functional-unit usage dependence: I(releaser) → I(j).
-        if let Some(wait) = ev.fu_wait {
-            if let Some(rel) = in_window(wait.releaser) {
-                deg.add_edge(
-                    deg.node(rel, Stage::I),
-                    deg.node(j, Stage::I),
-                    EdgeKind::Fu(wait.fu),
-                );
-            }
-        }
-        // True data dependencies: I(producer) → I(j).
-        for &d in &ev.data_deps {
-            if let Some(prod) = in_window(d) {
-                deg.add_edge(
-                    deg.node(prod, Stage::I),
-                    deg.node(j, Stage::I),
-                    EdgeKind::Data,
-                );
-            }
-        }
-        // Memory-address-dependence misprediction: M(store) → C(load).
-        if let Some(store) = ev.mem_dep_violation.and_then(in_window) {
-            deg.add_edge(
-                deg.node(store, Stage::M),
-                deg.node(j, Stage::C),
-                EdgeKind::MemDep,
-            );
-        }
+    }
+    // Memory-address-dependence misprediction: M(store) → C(load).
+    if let Some(store) = ev.mem_dep_violation.and_then(&local) {
+        edge(
+            node_id(store, Stage::M),
+            node_id(j, Stage::C),
+            EdgeKind::MemDep,
+        );
     }
 }
 
@@ -237,35 +230,6 @@ mod tests {
             has_resource,
             "a tiny machine on a memory-bound trace must stall on resources"
         );
-    }
-
-    #[test]
-    fn in_place_build_over_a_larger_graph_matches_the_fresh_path() {
-        use crate::critical::critical_path;
-        use crate::induced::induce;
-        let mut reused = Deg::default();
-        for (n, seed) in [(1_500usize, 3u64), (400, 5), (900, 7)] {
-            let result = OooCore::new(MicroArch::baseline())
-                .run(&trace_gen::mixed_workload(n, seed))
-                .expect("simulates");
-            // The reference runs on a new thread, so its critical-path
-            // scratch starts empty too.
-            let (fresh, fresh_path) = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let mut deg = induce(build_deg(&result));
-                    let path = critical_path(&mut deg);
-                    (deg, path)
-                })
-                .join()
-                .expect("reference thread")
-            });
-            build_deg_into(&result, 0, n, &mut reused);
-            let mut warm = induce(reused);
-            let warm_path = critical_path(&mut warm);
-            assert_eq!(fresh, warm, "in-place DEG must equal the fresh one");
-            assert_eq!(fresh_path, warm_path);
-            reused = warm;
-        }
     }
 
     #[test]

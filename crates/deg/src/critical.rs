@@ -14,7 +14,6 @@
 
 use crate::graph::{Deg, Edge, EdgeKind, NodeId, Stage};
 use archx_sim::trace::Cycle;
-use std::cell::RefCell;
 
 /// A constructed critical path.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,44 +42,49 @@ impl CriticalPath {
     }
 }
 
-/// Algorithm 1's per-node arrays and the topological-order buffers. They
-/// are as large as the graph and sized afresh on every call, so each
-/// thread keeps one set and reuses its allocations.
-#[derive(Default)]
-struct Scratch {
-    cost: Vec<u64>,
-    delay: Vec<u64>,
-    attr: Vec<u64>,
-    pred: Vec<Option<Edge>>,
-    topo_counts: Vec<u32>,
-    topo_order: Vec<NodeId>,
+/// Algorithm 1's value of a vertex: (cost, delay, attributed delay). Cost
+/// implements Algorithm 1; delay pulls the path origin back to time zero;
+/// the attributed-delay tie-break prefers spans covered by real dependence
+/// and pipeline edges over virtual hops, so attribution loses as little of
+/// the runtime as possible. A vertex takes an in-edge only when it
+/// strictly raises this value.
+pub(crate) type Value = (u64, u64, u64);
+
+/// The value reached by following an edge of `kind` spanning `w` cycles
+/// from a vertex of value `from`.
+pub(crate) fn extend(from: Value, kind: EdgeKind, w: Cycle) -> Value {
+    let cost = if kind.has_cost() { w } else { 0 };
+    let attr = if kind == EdgeKind::Virtual { 0 } else { w };
+    (from.0 + cost, from.1 + w, from.2 + attr)
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::default();
-}
-
-/// Writes the vertices of `deg` into `order` in topological order, the
-/// same order as [`Deg::topo_order`]. A counting sort over event times:
-/// node ids already encode `(instruction, stage)` lexicographically, so a
-/// stable id-order pass within each time bucket yields the full key order
-/// in O(V + T).
-fn topo_sort(deg: &Deg, counts: &mut Vec<u32>, order: &mut Vec<NodeId>) {
-    let times = deg.times();
-    let max_t = times.iter().copied().max().unwrap_or(0) as usize;
+/// Writes `nodes` into `order` sorted by `(time, id)` — the topological
+/// key order — provided any two of them with equal times come in
+/// increasing id order, as they do when all come in id order. A stable
+/// counting sort over event times, in O(V + T); with every vertex as
+/// `nodes` it yields [`Deg::topo_order`]. `counts` is scratch.
+pub(crate) fn sort_by_time(
+    times: &[Cycle],
+    nodes: impl Iterator<Item = NodeId> + Clone,
+    counts: &mut Vec<u32>,
+    order: &mut Vec<NodeId>,
+) {
+    let time = |v: NodeId| times[v as usize] as usize;
+    let max_t = nodes.clone().map(time).max().unwrap_or(0);
     counts.clear();
     counts.resize(max_t + 2, 0);
-    for &t in times {
-        counts[t as usize + 1] += 1;
+    for v in nodes.clone() {
+        counts[time(v) + 1] += 1;
     }
     for i in 0..=max_t {
         counts[i + 1] += counts[i];
     }
     order.clear();
-    order.resize(times.len(), 0);
-    for (id, &t) in times.iter().enumerate() {
-        order[counts[t as usize] as usize] = id as NodeId;
-        counts[t as usize] += 1;
+    order.resize(counts[max_t + 1] as usize, 0);
+    for v in nodes {
+        let slot = &mut counts[time(v)];
+        order[*slot as usize] = v;
+        *slot += 1;
     }
 }
 
@@ -88,8 +92,7 @@ fn topo_sort(deg: &Deg, counts: &mut Vec<u32>, order: &mut Vec<NodeId>) {
 /// at the last instruction's commit.
 ///
 /// The graph is only mutated by building (and caching) its CSR edge
-/// index. The dynamic-program arrays live in per-thread scratch that is
-/// reused across calls.
+/// index.
 ///
 /// ```
 /// use archx_sim::{MicroArch, OooCore, trace_gen};
@@ -110,70 +113,49 @@ pub fn critical_path(deg: &mut Deg) -> CriticalPath {
     assert!(deg.instr_count() > 0, "empty DEG");
     let _timed = archx_telemetry::span("deg/critical");
     deg.freeze();
-    SCRATCH.with_borrow_mut(|scratch| {
-        let Scratch {
-            cost,
-            delay,
-            attr,
-            pred,
-            topo_counts,
-            topo_order,
-        } = scratch;
-        // DP value per node: (cost, delay, attributed delay). Cost
-        // implements Algorithm 1; delay pulls the path origin back to time
-        // zero; the attributed-delay tie-break prefers spans covered by
-        // real dependence and pipeline edges over virtual hops, so
-        // attribution loses as little of the runtime as possible.
-        let n = deg.node_count();
-        cost.clear();
-        cost.resize(n, 0u64);
-        delay.clear();
-        delay.resize(n, 0u64);
-        attr.clear();
-        attr.resize(n, 0u64);
-        pred.clear();
-        pred.resize(n, None);
-        topo_sort(deg, topo_counts, topo_order);
+    let n = deg.node_count();
+    let mut cost = vec![0u64; n];
+    let mut delay = vec![0u64; n];
+    let mut attr = vec![0u64; n];
+    let mut pred: Vec<Option<Edge>> = vec![None; n];
+    let mut order = Vec::new();
+    sort_by_time(deg.times(), 0..n as NodeId, &mut Vec::new(), &mut order);
 
-        for &node in topo_order.iter() {
-            let c0 = cost[node as usize];
-            let d0 = delay[node as usize];
-            let a0 = attr[node as usize];
-            for e in deg.out_edges(node) {
-                let w = deg.interval(e);
-                let ec = if e.kind.has_cost() { w } else { 0 };
-                let ea = if e.kind == EdgeKind::Virtual { 0 } else { w };
-                let (nc, nd, na) = (c0 + ec, d0 + w, a0 + ea);
-                let t = e.to as usize;
-                if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
-                    cost[t] = nc;
-                    delay[t] = nd;
-                    attr[t] = na;
-                    pred[t] = Some(*e);
-                }
+    for &node in &order {
+        let c0 = cost[node as usize];
+        let d0 = delay[node as usize];
+        let a0 = attr[node as usize];
+        for e in deg.out_edges(node) {
+            let (nc, nd, na) = extend((c0, d0, a0), e.kind, deg.interval(e));
+            let t = e.to as usize;
+            if (nc, nd, na) > (cost[t], delay[t], attr[t]) {
+                cost[t] = nc;
+                delay[t] = nd;
+                attr[t] = na;
+                pred[t] = Some(*e);
             }
         }
+    }
 
-        let sink = deg.node(deg.instr_count() - 1, Stage::C);
-        let mut edges = Vec::new();
-        let mut cur = sink;
-        while let Some(e) = pred[cur as usize] {
-            edges.push(e);
-            cur = e.from;
-            assert!(
-                edges.len() <= deg.edge_count(),
-                "cycle in DEG predecessor chain — a non-forward edge slipped in"
-            );
-        }
-        edges.reverse();
-        CriticalPath {
-            cost: cost[sink as usize],
-            total_delay: delay[sink as usize],
-            start: cur,
-            end: sink,
-            edges,
-        }
-    })
+    let sink = deg.node(deg.instr_count() - 1, Stage::C);
+    let mut edges = Vec::new();
+    let mut cur = sink;
+    while let Some(e) = pred[cur as usize] {
+        edges.push(e);
+        cur = e.from;
+        assert!(
+            edges.len() <= deg.edge_count(),
+            "cycle in DEG predecessor chain — a non-forward edge slipped in"
+        );
+    }
+    edges.reverse();
+    CriticalPath {
+        cost: cost[sink as usize],
+        total_delay: delay[sink as usize],
+        start: cur,
+        end: sink,
+        edges,
+    }
 }
 
 #[cfg(test)]
@@ -198,7 +180,12 @@ mod tests {
         // Stale, longer buffers must not leak into the result.
         let mut counts = vec![7; 50_000];
         let mut order = vec![3; 50_000];
-        topo_sort(&deg, &mut counts, &mut order);
+        sort_by_time(
+            deg.times(),
+            0..deg.node_count() as NodeId,
+            &mut counts,
+            &mut order,
+        );
         assert_eq!(order, deg.topo_order());
     }
 

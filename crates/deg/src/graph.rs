@@ -84,6 +84,20 @@ impl fmt::Display for Stage {
 /// Number of vertices per instruction (fixed layout).
 pub const STAGES_PER_INSTR: u32 = 10;
 
+/// The vertex of `(instr, stage)` in the fixed layout: ids are
+/// instruction-major, stage-minor, so they order `(instruction, stage)`
+/// lexicographically.
+pub(crate) fn node_id(instr: InstrIdx, stage: Stage) -> NodeId {
+    instr * STAGES_PER_INSTR + stage.rank() as u32
+}
+
+/// Inverse of [`node_id`].
+pub(crate) fn locate_node(node: NodeId) -> (InstrIdx, Stage) {
+    let instr = node / STAGES_PER_INSTR;
+    let stage = Stage::ALL[(node % STAGES_PER_INSTR) as usize];
+    (instr, stage)
+}
+
 /// Edge types of the new DEG formulation (Table 2) plus the induced DEG's
 /// virtual edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,10 +168,8 @@ pub struct Edge {
 /// Construction: [`Deg::new`] fixes the vertex set (10 stages per
 /// instruction with their event times); [`Deg::add_edge`] appends edges
 /// (which must go forward in the topological key order); analysis passes
-/// then use [`Deg::topo_order`] and [`Deg::out_edges`]. The default value
-/// is an empty graph, ready to be overwritten by
-/// [`build_deg_into`](crate::build::build_deg_into).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// then use [`Deg::topo_order`] and [`Deg::out_edges`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deg {
     /// Event time per vertex, indexed by `NodeId`.
     times: Vec<Cycle>,
@@ -196,25 +208,6 @@ impl Deg {
         }
     }
 
-    /// Overwrites the graph in place with `instrs` instructions whose
-    /// vertex times come from `times`, dropping every edge: the in-place
-    /// counterpart of [`Deg::new`]. Every buffer keeps its capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `times` yields the wrong number of entries.
-    pub(crate) fn reset(&mut self, instrs: u32, times: impl IntoIterator<Item = Cycle>) {
-        let n = (instrs * STAGES_PER_INSTR) as usize;
-        self.times.clear();
-        self.times.reserve(n);
-        self.times.extend(times);
-        assert_eq!(self.times.len(), n, "expected {n} vertex times");
-        self.edges.clear();
-        self.csr_starts.clear();
-        self.csr_edges.clear();
-        self.instrs = instrs;
-    }
-
     /// Number of instructions covered.
     pub fn instr_count(&self) -> u32 {
         self.instrs
@@ -233,14 +226,12 @@ impl Deg {
     /// The vertex for `(instr, stage)`.
     pub fn node(&self, instr: InstrIdx, stage: Stage) -> NodeId {
         debug_assert!(instr < self.instrs);
-        instr * STAGES_PER_INSTR + stage.rank() as u32
+        node_id(instr, stage)
     }
 
     /// Inverse of [`Deg::node`].
     pub fn locate(&self, node: NodeId) -> (InstrIdx, Stage) {
-        let instr = node / STAGES_PER_INSTR;
-        let stage = Stage::ALL[(node % STAGES_PER_INSTR) as usize];
-        (instr, stage)
+        locate_node(node)
     }
 
     /// Event time of a vertex.
@@ -304,31 +295,25 @@ impl Deg {
     }
 
     /// Builds (if needed) and returns CSR access to outgoing edges.
-    ///
-    /// The CSR buffers are rebuilt in place, keeping their capacity.
     pub fn freeze(&mut self) {
         if !self.csr_starts.is_empty() {
             return;
         }
         let n = self.node_count();
-        let mut counts = std::mem::take(&mut self.csr_starts);
-        counts.clear();
-        counts.resize(n + 1, 0);
+        let mut starts = vec![0u32; n + 1];
         for e in &self.edges {
-            counts[e.from as usize + 1] += 1;
+            starts[e.from as usize + 1] += 1;
         }
         for i in 0..n {
-            counts[i + 1] += counts[i];
+            starts[i + 1] += starts[i];
         }
-        let mut slots = counts.clone();
-        let mut csr = std::mem::take(&mut self.csr_edges);
-        csr.clear();
-        csr.resize(self.edges.len(), 0);
+        let mut slots = starts.clone();
+        let mut csr = vec![0u32; self.edges.len()];
         for (idx, e) in self.edges.iter().enumerate() {
             csr[slots[e.from as usize] as usize] = idx as u32;
             slots[e.from as usize] += 1;
         }
-        self.csr_starts = counts;
+        self.csr_starts = starts;
         self.csr_edges = csr;
     }
 

@@ -45,6 +45,9 @@ impl std::hash::Hasher for PairHasher {
 
 type EdgeSet = HashSet<(NodeId, NodeId), BuildHasherDefault<PairHasher>>;
 
+/// Rule 1 and Rule 2 each connect a vertex to at most this many starts.
+pub(crate) const RULE_FANOUT: usize = 4;
+
 /// Adds virtual edges to `deg`, producing the induced DEG.
 ///
 /// Statistics of the transformation are available by comparing
@@ -107,8 +110,8 @@ pub fn induce(mut deg: Deg) -> Deg {
 
     // Rule 1: the first start strictly after `node` in topological key
     // order (all starts sharing that minimal time are connected, capped).
-    let rule1 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; 4]| {
-        *out = [None; 4];
+    let rule1 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; RULE_FANOUT]| {
+        *out = [None; RULE_FANOUT];
         let key = deg.topo_key(node);
         let idx = keys.partition_point(|&k| k <= key);
         if idx >= by_key.len() {
@@ -123,8 +126,8 @@ pub fn induce(mut deg: Deg) -> Deg {
         }
     };
     // Rule 2: the starts on the closest strictly-later instruction.
-    let rule2 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; 4]| {
-        *out = [None; 4];
+    let rule2 = |deg: &Deg, node: NodeId, out: &mut [Option<NodeId>; RULE_FANOUT]| {
+        *out = [None; RULE_FANOUT];
         let instr = deg.locate(node).0;
         let idx = instrs_sorted.partition_point(|&i| i <= instr);
         if idx >= by_instr.len() {
@@ -143,7 +146,7 @@ pub fn induce(mut deg: Deg) -> Deg {
     };
 
     // Entry anchor: F1 of the first instruction into the earliest starts.
-    let mut buf = [None; 4];
+    let mut buf = [None; RULE_FANOUT];
     rule1(&deg, source, &mut buf);
     for t in buf.into_iter().flatten() {
         push(&deg, &mut seen, source, t, &mut new_edges);

@@ -19,6 +19,9 @@
 //!   composed of resource-usage dependencies;
 //! * [`bottleneck`] — resource contributions `c(b)` (Eq. 1) and their
 //!   weighted multi-workload aggregation (Eq. 2);
+//! * [`fused`] — the chain above (build, induce, Algorithm 1, `c(b)`) in
+//!   one pass over the event record, with no stored edges: the
+//!   evaluator's analysis, which the explicit chain checks;
 //! * [`calipers`] — the *previous* DEG formulation (static weights,
 //!   producer–consumer resource edges, fixed penalties) reimplemented as
 //!   the comparison baseline of Figures 4–5 and the Calipers-guided DSE.
@@ -40,6 +43,7 @@ pub mod build;
 pub mod calipers;
 pub mod critical;
 pub mod export;
+pub mod fused;
 pub mod graph;
 pub mod induced;
 pub mod naive;

@@ -3,10 +3,9 @@
 //! The paper's method rests on two exact identities — the DEG is acyclic
 //! with every edge weight equal to a measured stage interval (Table 2),
 //! and Algorithm 1's critical-path length equals the simulated runtime.
-//! This module machine-checks both, plus the agreement of the in-place
-//! and allocating paths (a graph rebuilt over another window's storage vs
-//! a freshly allocated one), forming the oracle hierarchy every later
-//! optimisation must pass:
+//! This module machine-checks both, plus the agreement of the fused
+//! analysis with the explicit chain it replaces on the evaluator's path,
+//! forming the oracle hierarchy every later optimisation must pass:
 //!
 //! 1. [`validate_deg`] — structure: acyclicity (every edge forward in the
 //!    topological key order), time-axis monotonicity along each
@@ -15,19 +14,21 @@
 //! 2. [`validate_times`] — the graph's vertex times are exactly the
 //!    simulator's event record (with implicit weights, this *is* the
 //!    weight/interval consistency of Table 2);
-//! 3. [`validate_exactness`] — the end-to-end oracle: the in-place builder
-//!    agrees with the allocating one, structure holds before and after
-//!    inducing, Algorithm 1 on reused storage agrees with Algorithm 1 on a
-//!    cold thread, and the path length equals `SimResult` cycles.
+//! 3. [`validate_exactness`] — the end-to-end oracle: structure holds
+//!    before and after inducing, the path length equals `SimResult`
+//!    cycles, and [`fused::analyze`] on warm scratch returns the explicit
+//!    chain's critical path and, bit for bit, its bottleneck report.
 //!
 //! Every failure increments a `verify/violation/<check>` telemetry
 //! counter and carries a stable machine-readable tag.
 
-use crate::build::{build_deg_into, build_deg_window};
+use crate::bottleneck::{self, BottleneckReport};
+use crate::build::{build_deg_window, stage_times};
 use crate::critical::{critical_path, CriticalPath};
+use crate::fused;
 use crate::graph::{Deg, EdgeKind, Stage};
 use crate::induced::induce;
-use archx_sim::trace::SimResult;
+use archx_sim::trace::{PipelineTrace, SimResult};
 
 /// A failed DEG validation check.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,10 +152,7 @@ pub fn validate_deg(deg: &Deg) -> Result<(), ValidationError> {
 /// Returns a `deg/times` failure naming the first mismatched vertex.
 pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(), ValidationError> {
     for j in 0..deg.instr_count() {
-        let ev = &result.trace.events[start + j as usize];
-        let expect = [
-            ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c,
-        ];
+        let expect = stage_times(&result.trace.events[start + j as usize]);
         for (stage, &t) in Stage::ALL.iter().zip(&expect) {
             let got = deg.time(deg.node(j, *stage));
             if got != t {
@@ -171,20 +169,20 @@ pub fn validate_times(deg: &Deg, result: &SimResult, start: usize) -> Result<(),
     Ok(())
 }
 
-/// The end-to-end oracle over a full simulation result: builds the DEG
-/// in place over storage that held a different window and checks it
-/// against a freshly allocated build, validates structure and times
-/// before and after inducing, runs Algorithm 1 right after a run on that
-/// other window and checks it against a run on a new thread (whose
-/// scratch starts empty), and requires the path length to equal the
-/// simulated runtime exactly. Returns the critical path for reuse.
+/// The end-to-end oracle over a full simulation result: builds and
+/// induces the DEG, validating structure and times before and after
+/// inducing, requires Algorithm 1's path length to equal the simulated
+/// runtime exactly, and checks [`fused::analyze`] against the explicit
+/// chain. The fused pass runs right after a run on another result (the
+/// first half of this one), so its scratch holds another graph. Returns
+/// the critical path for reuse.
 ///
 /// # Errors
 ///
 /// Returns the first failing check: any [`validate_deg`] /
-/// [`validate_times`] tag, `deg/builders` (in-place vs allocating builder
-/// divergence), `deg/csr_vs_cloned` (Algorithm 1 on reused vs cold
-/// storage divergence) or `deg/exactness` (path length != runtime).
+/// [`validate_times`] tag, `deg/exactness` (path length != runtime) or
+/// `deg/fused` (the fused pass's path or report differs from the explicit
+/// chain's).
 ///
 /// # Panics
 ///
@@ -196,7 +194,9 @@ pub fn validate_exactness(result: &SimResult) -> Result<CriticalPath, Validation
 /// Windowed variant of [`validate_exactness`] over `[start, end)`. The
 /// exactness identity `path.total_delay == result.trace.cycles` only
 /// holds for the full window, so it is asserted exactly there; windowed
-/// paths are instead required not to exceed the runtime.
+/// paths are instead required not to exceed the runtime. The fused pass
+/// analyses whole results only, so `deg/fused` is checked on the full
+/// window alone.
 ///
 /// # Errors
 ///
@@ -212,32 +212,7 @@ pub fn validate_exactness_window(
 ) -> Result<CriticalPath, ValidationError> {
     let len = result.trace.events.len();
     let full = start == 0 && end == len;
-    // The reference: a fresh graph, and Algorithm 1 on a new thread.
-    let fresh = build_deg_window(result, start, end);
-    let cold = std::thread::scope(|s| {
-        s.spawn(|| critical_path(&mut induce(fresh.clone())))
-            .join()
-            .expect("critical path on a new thread")
-    });
-
-    // Stale content: the graph of a different window (the whole trace,
-    // or its second half when the window is the whole trace), induced and
-    // run through Algorithm 1, so both the graph storage and this
-    // thread's Algorithm 1 scratch hold another graph.
-    let (other_start, other_end) = if full { (len / 2, len) } else { (0, len) };
-    let mut built = induce(build_deg_window(result, other_start, other_end));
-    critical_path(&mut built);
-    build_deg_into(result, start, end, &mut built);
-    if built != fresh {
-        return Err(fail(
-            "deg/builders",
-            format!(
-                "in-place builder produced {} edges, allocating builder {}",
-                built.edge_count(),
-                fresh.edge_count()
-            ),
-        ));
-    }
+    let built = build_deg_window(result, start, end);
     validate_deg(&built)?;
     validate_times(&built, result, start)?;
 
@@ -246,16 +221,6 @@ pub fn validate_exactness_window(
     validate_times(&induced, result, start)?;
 
     let path = critical_path(&mut induced);
-    if path != cold {
-        return Err(fail(
-            "deg/csr_vs_cloned",
-            format!(
-                "Algorithm 1 on reused storage found (cost {}, delay {}), on a cold \
-                 thread (cost {}, delay {})",
-                path.cost, path.total_delay, cold.cost, cold.total_delay
-            ),
-        ));
-    }
     if full && path.total_delay != result.trace.cycles {
         return Err(fail(
             "deg/exactness",
@@ -274,7 +239,47 @@ pub fn validate_exactness_window(
             ),
         ));
     }
+    if full {
+        let report = bottleneck::analyze(&induced, &path);
+        let half = SimResult {
+            trace: PipelineTrace {
+                events: result.trace.events[..len.div_ceil(2)].to_vec(),
+                cycles: 0,
+            },
+            ..SimResult::default()
+        };
+        // Leave another graph in this thread's fused scratch first.
+        fused::analyze(&half);
+        let (fused_path, fused_report) = fused::analyze(result);
+        let same_path = fused_path == path;
+        let same_report = bit_identical(&fused_report, &report);
+        if !(same_path && same_report) {
+            return Err(fail(
+                "deg/fused",
+                format!(
+                    "fused pass vs explicit chain: critical paths equal: {same_path} \
+                     (cost {} vs {}, delay {} vs {}, {} vs {} edges); reports equal bit \
+                     for bit: {same_report}",
+                    fused_path.cost,
+                    path.cost,
+                    fused_path.total_delay,
+                    path.total_delay,
+                    fused_path.len(),
+                    path.len(),
+                ),
+            ));
+        }
+    }
     Ok(path)
+}
+
+/// Whether two reports agree in length and in every contribution's bits.
+pub(crate) fn bit_identical(a: &BottleneckReport, b: &BottleneckReport) -> bool {
+    a.length == b.length
+        && a.contributions
+            .iter()
+            .zip(&b.contributions)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]

@@ -25,8 +25,7 @@ use crate::governor::ThreadGovernor;
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::lock;
 use crate::pareto::{ExplorationSet, RefPoint};
-use archx_deg::build::build_deg_into;
-use archx_deg::{critical_path, induce, merge_reports, BottleneckReport, Deg};
+use archx_deg::{fused, merge_reports, BottleneckReport};
 use archx_power::{PowerModel, PpaResult};
 use archx_sim::isa::Instruction;
 use archx_sim::pipeline::DEADLOCK_WATCHDOG;
@@ -41,13 +40,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 thread_local! {
-    /// The last simulation result and DEG built on this thread, kept so
-    /// the next evaluation overwrites them in place instead of allocating
-    /// its event table and graph storage afresh. Per thread rather than
-    /// per evaluator: campaign jobs and one-shot callers alike often
-    /// build a fresh evaluator per run or per design on a long-lived
-    /// thread.
-    static BUFFERS: RefCell<(SimResult, Deg)> = RefCell::default();
+    /// The last simulation result on this thread, kept so the next
+    /// evaluation overwrites it in place instead of allocating its event
+    /// table afresh. Per thread rather than per evaluator: campaign jobs
+    /// and one-shot callers alike often build a fresh evaluator per run or
+    /// per design on a long-lived thread.
+    static BUFFERS: RefCell<SimResult> = RefCell::default();
 }
 
 /// Outcome of one workload's simulation attempt: its PPA and (when
@@ -504,7 +502,8 @@ impl Evaluator {
     }
 
     /// Evaluates a design with an explicit bottleneck-analysis backend:
-    /// [`Analysis::NewDeg`] additionally builds the induced DEG and merges
+    /// [`Analysis::NewDeg`] additionally analyses each simulation with
+    /// [`fused::analyze`] (the induced DEG's critical path) and merges the
     /// per-workload bottleneck reports (Eq. 2).
     ///
     /// Cached: re-evaluating a design costs no simulations. A cached
@@ -607,17 +606,16 @@ impl Evaluator {
         }
     }
 
-    /// Simulates one trace and runs the requested analysis, overwriting
-    /// the simulation result and DEG in `bufs`. A panic midway leaves them
-    /// half-written, which is harmless: the next run overwrites them.
+    /// Simulates one trace into `result` and runs the requested analysis.
+    /// A panic midway leaves `result` half-written, which is harmless: the
+    /// next run overwrites it.
     fn run_workload(
         &self,
         arch: &MicroArch,
         analysis: Analysis,
         trace: &[Instruction],
-        bufs: &mut (SimResult, Deg),
+        result: &mut SimResult,
     ) -> Result<(PpaResult, Option<BottleneckReport>), EvalError> {
-        let (result, deg) = bufs;
         let mut core = OooCore::try_new(*arch)
             .map_err(EvalError::Sim)?
             .with_deadlock_watchdog(self.limits.deadlock_watchdog);
@@ -637,14 +635,7 @@ impl Evaluator {
         }
         let report = match analysis {
             Analysis::None => None,
-            Analysis::NewDeg => {
-                build_deg_into(result, 0, result.trace.events.len(), deg);
-                let mut induced = induce(std::mem::take(deg));
-                let path = critical_path(&mut induced);
-                let report = archx_deg::bottleneck::analyze(&induced, &path);
-                *deg = induced;
-                Some(report)
-            }
+            Analysis::NewDeg => Some(fused::analyze(result).1),
             Analysis::Calipers => Some(archx_deg::CalipersModel::from_arch(arch).analyze(result).1),
         };
         Ok((ppa, report))
@@ -676,7 +667,7 @@ impl Evaluator {
             // regeneration (the synthesiser's stream is prefix-stable).
             let window = (full.len() / divisor).max(1).min(full.len());
             let trace = &full[..window];
-            BUFFERS.with_borrow_mut(|bufs| self.run_workload(arch, analysis, trace, bufs))
+            BUFFERS.with_borrow_mut(|result| self.run_workload(arch, analysis, trace, result))
         };
         // A panicking worker must fail the design, not the campaign.
         let guarded = |i: usize| -> AttemptOutcome {

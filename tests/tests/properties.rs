@@ -98,6 +98,22 @@ proptest! {
     }
 
     #[test]
+    fn fused_analysis_equals_explicit_for_arbitrary_specs(spec in arb_spec(), design in arb_design()) {
+        prop_assume!(spec.validate().is_ok());
+        let trace = spec.generate(1_200, 9);
+        let r = OooCore::new(design).run(&trace).expect("simulates");
+        let mut deg = induce(build_deg(&r));
+        let path = critical_path(&mut deg);
+        let report = archexplorer::deg::bottleneck::analyze(&deg, &path);
+        let (fused_path, fused_report) = archexplorer::deg::fused::analyze(&r);
+        prop_assert_eq!(fused_path, path);
+        prop_assert_eq!(fused_report.length, report.length);
+        for (f, e) in fused_report.contributions.iter().zip(&report.contributions) {
+            prop_assert_eq!(f.to_bits(), e.to_bits());
+        }
+    }
+
+    #[test]
     fn power_model_is_positive_and_monotone_in_activity(design in arb_design()) {
         let trace = spec06_suite()[0].generate(1_000, 1);
         let r = OooCore::new(design).run(&trace).expect("simulates");
