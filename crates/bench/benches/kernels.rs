@@ -115,14 +115,13 @@ fn bench_ml(c: &mut Criterion) {
 
 fn bench_trace_io(c: &mut Criterion) {
     let core = OooCore::new(MicroArch::baseline());
-    let result = core
-        .run(&trace_gen::mixed_workload(TRACE_LEN, 7))
-        .expect("simulates");
-    let text = extern_trace::export(&result);
+    let trace = trace_gen::mixed_workload(TRACE_LEN, 7);
+    let result = core.run(&trace).expect("simulates");
+    let text = extern_trace::export(&trace, &result);
     let mut g = c.benchmark_group("trace_io");
     g.sample_size(20);
     g.bench_function("export_10k", |b| {
-        b.iter(|| black_box(extern_trace::export(&result)))
+        b.iter(|| black_box(extern_trace::export(&trace, &result)))
     });
     g.bench_function("import_10k", |b| {
         b.iter(|| black_box(extern_trace::import(&text)).expect("parses"))

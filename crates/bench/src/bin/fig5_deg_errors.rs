@@ -38,8 +38,9 @@ fn main() {
     ]);
     let mut worst: (f64, String) = (0.0, String::new());
     for w in &suite {
-        let r = core.run(&w.generate(instrs, 1)).expect("simulates");
-        let (est, _) = CalipersModel::from_arch(&arch).analyze(&r);
+        let trace = w.generate(instrs, 1);
+        let r = core.run(&trace).expect("simulates");
+        let (est, _) = CalipersModel::from_arch(&arch).analyze(&trace, &r);
         let mut deg = induce(build_deg(&r));
         let path = critical_path(&mut deg);
         let static_err = 100.0 * (est as f64 / r.trace.cycles as f64 - 1.0);
@@ -72,8 +73,9 @@ fn main() {
         .iter()
         .find(|w| w.id.0.contains("hmmer"))
         .expect("suite contains hmmer");
-    let r = core.run(&hmmer.generate(instrs, 1)).expect("simulates");
-    let (est, static_rep) = CalipersModel::from_arch(&arch).analyze(&r);
+    let trace = hmmer.generate(instrs, 1);
+    let r = core.run(&trace).expect("simulates");
+    let (est, static_rep) = CalipersModel::from_arch(&arch).analyze(&trace, &r);
     let mut deg = induce(build_deg(&r));
     let path = archexplorer::deg::critical::critical_path(&mut deg);
     let new_rep = bottleneck::analyze(&deg, &path);

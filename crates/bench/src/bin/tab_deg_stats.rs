@@ -51,7 +51,7 @@ fn main() {
         let ana_ms = t1.elapsed().as_secs_f64() * 1e3;
         assert_eq!(path.total_delay, result.trace.cycles);
 
-        let (_, _, cv, ce) = CalipersModel::from_arch(&arch).analyze_with_stats(&result);
+        let (_, _, cv, ce) = CalipersModel::from_arch(&arch).analyze_with_stats(&trace, &result);
         v_sum += deg.node_count() as f64;
         e_sum += deg.edge_count() as f64;
         cv_sum += cv as f64;

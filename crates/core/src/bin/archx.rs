@@ -404,14 +404,14 @@ fn cmd_export(kv: &HashMap<String, String>) -> Result<(), String> {
     let result = OooCore::new(arch)
         .run(&trace)
         .map_err(|e| format!("simulation failed: {e}"))?;
-    print!("{}", extern_trace::export(&result));
+    print!("{}", extern_trace::export(&trace, &result));
     Ok(())
 }
 
 fn cmd_import(kv: &HashMap<String, String>) -> Result<(), String> {
     let path = kv.get("file").ok_or("import needs file=PATH")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let result = extern_trace::import(&text).map_err(|e| e.to_string())?;
+    let (_, result) = extern_trace::import(&text).map_err(|e| e.to_string())?;
     println!(
         "imported {} instructions, {} cycles (IPC {:.4})",
         result.stats.committed,

@@ -8,7 +8,7 @@
 //! unblocked each stall.
 
 use crate::graph::{node_id, Deg, EdgeKind, NodeId, Stage};
-use archx_sim::trace::{Cycle, InstrEvents, InstrIdx, SimResult, NO_INSTR};
+use archx_sim::trace::{Cycle, InstrEvents, InstrIdx, PipelineTrace, SimResult, NO_INSTR};
 
 /// Builds the new-formulation DEG for a full simulation result.
 pub fn build_deg(result: &SimResult) -> Deg {
@@ -36,13 +36,18 @@ pub fn build_deg_window(result: &SimResult, start: usize, end: usize) -> Deg {
         events.iter().flat_map(stage_times).collect(),
     );
     let local = window_local(start, end);
-    for (j, ev) in events.iter().enumerate() {
-        let j = j as InstrIdx;
+    for j in 0..events.len() as InstrIdx {
         // Pipeline chain F1→F2→F→DC→R→DP→I→M→P→C.
         for w in Stage::ALL.windows(2) {
             deg.add_edge(deg.node(j, w[0]), deg.node(j, w[1]), EdgeKind::Pipeline);
         }
-        skewed_edges(ev, j, &local, |from, to, kind| deg.add_edge(from, to, kind));
+        skewed_edges(
+            &result.trace,
+            start + j as usize,
+            j,
+            &local,
+            |from, to, kind| deg.add_edge(from, to, kind),
+        );
     }
     deg
 }
@@ -67,15 +72,17 @@ pub(crate) fn window_local(start: usize, end: usize) -> impl Fn(InstrIdx) -> Opt
 }
 
 /// Calls `edge(from, to, kind)` for every skewed edge of Table 2 that ends
-/// at window-local instruction `j` (whose events are `ev`), in the order
-/// the DEG inserts them. `local` maps the trace indices `ev` names into
-/// the window; edges from outside it are skipped.
+/// at trace instruction `idx`, window-local instruction `j`, in the order
+/// the DEG inserts them. `local` maps the trace indices its records name
+/// into the window; edges from outside it are skipped.
 pub(crate) fn skewed_edges(
-    ev: &InstrEvents,
+    trace: &PipelineTrace,
+    idx: usize,
     j: InstrIdx,
     local: impl Fn(InstrIdx) -> Option<InstrIdx>,
     mut edge: impl FnMut(NodeId, NodeId, EdgeKind),
 ) {
+    let ev = &trace.events[idx];
     // Fetch-buffer slot dependence: F(releaser) → F1(j).
     if let Some(from) = ev.fetch_slot_from.and_then(&local) {
         edge(
@@ -101,7 +108,7 @@ pub(crate) fn skewed_edges(
         );
     }
     // Hardware-resource usage dependencies: R(releaser) → R(j).
-    for stall in &ev.rename_stalls {
+    for stall in trace.rename_stalls(idx) {
         if let Some(rel) = local(stall.releaser) {
             edge(
                 node_id(rel, Stage::R),
@@ -121,7 +128,7 @@ pub(crate) fn skewed_edges(
         }
     }
     // True data dependencies: I(producer) → I(j).
-    for &d in &ev.data_deps {
+    for &d in trace.data_deps(idx) {
         if let Some(prod) = local(d) {
             edge(
                 node_id(prod, Stage::I),

@@ -23,7 +23,7 @@
 
 use crate::bottleneck::{BottleneckReport, BottleneckSource, NUM_SOURCES};
 use archx_sim::config::{L1_HIT_CYCLES, L2_HIT_CYCLES};
-use archx_sim::isa::{OpClass, RegClass};
+use archx_sim::isa::{Instruction, OpClass, RegClass};
 use archx_sim::trace::SimResult;
 use archx_sim::MicroArch;
 
@@ -89,20 +89,30 @@ impl CalipersModel {
         }
     }
 
-    /// Builds the static graph, runs the longest-path analysis and returns
-    /// the estimated runtime plus a bottleneck report in the same format
-    /// as the new formulation's.
-    pub fn analyze(&self, result: &SimResult) -> (u64, BottleneckReport) {
-        let (est, report, _, _) = self.analyze_with_stats(result);
+    /// Builds the static graph over `instrs`, the trace `result` was
+    /// simulated from, runs the longest-path analysis and returns the
+    /// estimated runtime plus a bottleneck report in the same format as
+    /// the new formulation's.
+    pub fn analyze(&self, instrs: &[Instruction], result: &SimResult) -> (u64, BottleneckReport) {
+        let (est, report, _, _) = self.analyze_with_stats(instrs, result);
         (est, report)
     }
 
     /// Like [`CalipersModel::analyze`], also returning the graph's vertex
     /// and edge counts (for the paper's footnote-5 comparison).
-    pub fn analyze_with_stats(&self, result: &SimResult) -> (u64, BottleneckReport, usize, usize) {
-        let instrs = &result.instructions;
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trace, or when `instrs` and `result` differ in
+    /// length.
+    pub fn analyze_with_stats(
+        &self,
+        instrs: &[Instruction],
+        result: &SimResult,
+    ) -> (u64, BottleneckReport, usize, usize) {
         let n = instrs.len();
         assert!(n > 0, "empty trace");
+        assert_eq!(n, result.trace.len(), "trace and result lengths differ");
         let nodes = 3 * n;
         // Edge list: (from, to, weight, source attribution).
         let mut edges: Vec<(u32, u32, u64, BottleneckSource)> = Vec::with_capacity(8 * n);
@@ -287,9 +297,10 @@ mod tests {
     fn estimate_deviates_from_actual_on_memory_code() {
         // DRAM misses are invisible to the static model: it must
         // underestimate a cache-hostile trace.
-        let r = run(&trace_gen::pointer_chase(3_000, 32 << 20, 3));
+        let trace = trace_gen::pointer_chase(3_000, 32 << 20, 3);
+        let r = run(&trace);
         let model = CalipersModel::from_arch(&MicroArch::baseline());
-        let (est, _) = model.analyze(&r);
+        let (est, _) = model.analyze(&trace, &r);
         assert!(
             (est as f64) < 0.9 * r.trace.cycles as f64,
             "static model should underestimate: {est} vs {}",
@@ -299,9 +310,10 @@ mod tests {
 
     #[test]
     fn estimate_reasonable_on_simple_code() {
-        let r = run(&trace_gen::linear_int_chain(2_000));
+        let trace = trace_gen::linear_int_chain(2_000);
+        let r = run(&trace);
         let model = CalipersModel::from_arch(&MicroArch::baseline());
-        let (est, _) = model.analyze(&r);
+        let (est, _) = model.analyze(&trace, &r);
         let ratio = est as f64 / r.trace.cycles as f64;
         assert!(
             (0.4..=1.6).contains(&ratio),
@@ -313,9 +325,10 @@ mod tests {
     fn overestimates_port_contention_vs_new_formulation() {
         // Many independent memory ops through one port: the static model
         // serialises all of them; the new DEG distinguishes overlap.
-        let r = run(&trace_gen::store_load_pairs(2_000));
+        let trace = trace_gen::store_load_pairs(2_000);
+        let r = run(&trace);
         let model = CalipersModel::from_arch(&MicroArch::baseline());
-        let (_, rep) = model.analyze(&r);
+        let (_, rep) = model.analyze(&trace, &r);
         let new_deg = crate::induce(crate::build_deg(&r));
         let mut g = new_deg;
         let path = crate::critical::critical_path(&mut g);
@@ -330,9 +343,10 @@ mod tests {
 
     #[test]
     fn graph_stats_reported() {
-        let r = run(&trace_gen::mixed_workload(500, 2));
+        let trace = trace_gen::mixed_workload(500, 2);
+        let r = run(&trace);
         let model = CalipersModel::from_arch(&MicroArch::baseline());
-        let (_, _, nodes, edges) = model.analyze_with_stats(&r);
+        let (_, _, nodes, edges) = model.analyze_with_stats(&trace, &r);
         assert_eq!(nodes, 1500);
         assert!(edges > 1500);
     }
@@ -340,14 +354,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_panics() {
-        let r = SimResult {
-            trace: archx_sim::PipelineTrace {
-                events: vec![],
-                cycles: 0,
-            },
-            stats: Default::default(),
-            instructions: vec![],
-        };
-        let _ = CalipersModel::from_arch(&MicroArch::baseline()).analyze(&r);
+        let _ =
+            CalipersModel::from_arch(&MicroArch::baseline()).analyze(&[], &SimResult::default());
     }
 }

@@ -139,14 +139,14 @@ impl Scratch {
     /// a stable counting sort, so each vertex's skewed out-edges stay in
     /// build order.
     fn index_skewed(&mut self, result: &SimResult) {
-        let events = &result.trace.events;
+        let trace = &result.trace;
         let Scratch { times, skewed, .. } = self;
         times.clear();
         skewed.clear();
-        let local = window_local(0, events.len());
-        for (j, ev) in events.iter().enumerate() {
+        let local = window_local(0, trace.len());
+        for (j, ev) in trace.events.iter().enumerate() {
             times.extend_from_slice(&stage_times(ev));
-            skewed_edges(ev, j as u32, &local, |from, to, kind| {
+            skewed_edges(trace, j, j as u32, &local, |from, to, kind| {
                 skewed.push(Edge { from, to, kind })
             });
         }

@@ -13,6 +13,7 @@
 
 use crate::bottleneck::{BottleneckReport, BottleneckSource, NUM_SOURCES};
 use archx_sim::config::L1_HIT_CYCLES;
+use archx_sim::isa::Instruction;
 use archx_sim::trace::{FuKind, ResourceKind, SimResult};
 
 fn resource_source(kind: ResourceKind) -> BottleneckSource {
@@ -38,10 +39,24 @@ fn fu_source(kind: FuKind) -> BottleneckSource {
 
 /// Sums per-instruction stall intervals into a report, and also returns
 /// the total blamed cycles (which exceed the runtime whenever instructions
-/// overlap — the tell-tale of double counting).
-pub fn naive_stall_report(result: &SimResult) -> (BottleneckReport, u64) {
+/// overlap — the tell-tale of double counting). `instructions` is the
+/// trace `result` was simulated from.
+///
+/// # Panics
+///
+/// Panics when `instructions` and `result` differ in length.
+pub fn naive_stall_report(
+    instructions: &[Instruction],
+    result: &SimResult,
+) -> (BottleneckReport, u64) {
+    let trace = &result.trace;
+    assert_eq!(
+        instructions.len(),
+        trace.len(),
+        "trace and result lengths differ"
+    );
     let mut cycles = [0u64; NUM_SOURCES];
-    for (ev, instr) in result.trace.events.iter().zip(&result.instructions) {
+    for (j, (ev, instr)) in trace.events.iter().zip(instructions).enumerate() {
         // Front-end gaps.
         let icache = ev.f2 - ev.f1;
         cycles[BottleneckSource::Base.index()] += icache.min(L1_HIT_CYCLES);
@@ -50,7 +65,7 @@ pub fn naive_stall_report(result: &SimResult) -> (BottleneckReport, u64) {
         // Rename stalls: blame every resource that was short, for the whole
         // wait (naive accounting does not know which one was binding).
         let rename_wait = (ev.r - ev.dc).saturating_sub(1);
-        for stall in &ev.rename_stalls {
+        for stall in trace.rename_stalls(j) {
             cycles[resource_source(stall.resource).index()] += rename_wait;
         }
         // Issue wait: operands and/or units.
@@ -58,7 +73,7 @@ pub fn naive_stall_report(result: &SimResult) -> (BottleneckReport, u64) {
         if let Some(w) = ev.fu_wait {
             cycles[fu_source(w.fu).index()] += issue_wait;
         }
-        if !ev.data_deps.is_empty() {
+        if !trace.data_deps(j).is_empty() {
             cycles[BottleneckSource::TrueDep.index()] += issue_wait;
         }
         // Memory time beyond the hit latency.
@@ -97,10 +112,11 @@ mod tests {
     fn blamed_cycles_exceed_runtime_under_overlap() {
         // A parallel workload overlaps heavily: naive accounting blames far
         // more cycles than actually elapsed.
+        let trace = trace_gen::mixed_workload(5_000, 3);
         let r = OooCore::new(MicroArch::baseline())
-            .run(&trace_gen::mixed_workload(5_000, 3))
+            .run(&trace)
             .expect("simulates");
-        let (_, blamed) = naive_stall_report(&r);
+        let (_, blamed) = naive_stall_report(&trace, &r);
         assert!(
             blamed > 2 * r.trace.cycles,
             "naive accounting should double-count: blamed {blamed} vs runtime {}",
@@ -110,10 +126,11 @@ mod tests {
 
     #[test]
     fn distribution_is_normalised() {
+        let trace = trace_gen::pointer_chase(3_000, 8 << 20, 5);
         let r = OooCore::new(MicroArch::tiny())
-            .run(&trace_gen::pointer_chase(3_000, 8 << 20, 5))
+            .run(&trace)
             .expect("simulates");
-        let (rep, _) = naive_stall_report(&r);
+        let (rep, _) = naive_stall_report(&trace, &r);
         let total = rep.total();
         assert!((total - 1.0).abs() < 1e-9, "contributions sum to {total}");
         // On a dependent pointer chase the miss time lands partly on the
@@ -142,7 +159,7 @@ mod tests {
             })
             .collect();
         let r = OooCore::new(arch).run(&trace).expect("simulates");
-        let (naive, blamed) = naive_stall_report(&r);
+        let (naive, blamed) = naive_stall_report(&trace, &r);
         let mut deg = induce(build_deg(&r));
         let path = critical::critical_path(&mut deg);
         let deg_rep = crate::bottleneck::analyze(&deg, &path);

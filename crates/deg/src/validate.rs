@@ -28,7 +28,7 @@ use crate::critical::{critical_path, CriticalPath};
 use crate::fused;
 use crate::graph::{Deg, EdgeKind, Stage};
 use crate::induced::induce;
-use archx_sim::trace::{PipelineTrace, SimResult};
+use archx_sim::trace::SimResult;
 
 /// A failed DEG validation check.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,13 +241,12 @@ pub fn validate_exactness_window(
     }
     if full {
         let report = bottleneck::analyze(&induced, &path);
-        let half = SimResult {
-            trace: PipelineTrace {
-                events: result.trace.events[..len.div_ceil(2)].to_vec(),
-                cycles: 0,
-            },
+        let mut half = SimResult {
+            trace: result.trace.clone(),
             ..SimResult::default()
         };
+        half.trace.truncate(len.div_ceil(2));
+        half.trace.cycles = 0;
         // Leave another graph in this thread's fused scratch first.
         fused::analyze(&half);
         let (fused_path, fused_report) = fused::analyze(result);

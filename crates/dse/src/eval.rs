@@ -636,7 +636,11 @@ impl Evaluator {
         let report = match analysis {
             Analysis::None => None,
             Analysis::NewDeg => Some(fused::analyze(result).1),
-            Analysis::Calipers => Some(archx_deg::CalipersModel::from_arch(arch).analyze(result).1),
+            Analysis::Calipers => Some(
+                archx_deg::CalipersModel::from_arch(arch)
+                    .analyze(trace, result)
+                    .1,
+            ),
         };
         Ok((ppa, report))
     }

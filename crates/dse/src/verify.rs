@@ -208,6 +208,8 @@ fn sensitised_design(space: &DesignSpace, fault: InjectedFault) -> MicroArch {
         InjectedFault::RobCapacityOffByOne => {
             ParamId::Rob.set(&mut arch, space.candidates(ParamId::Rob)[0]);
         }
+        // Any trace with a dependent instruction exercises a wakeup.
+        InjectedFault::LostWakeup => {}
     }
     arch
 }
@@ -254,7 +256,7 @@ fn check_chain(
     // same SimResult as a differential oracle: it must stay a normalised
     // distribution and be deterministic. (Its over-blaming *relative to
     // runtime* is the expected contrast, not a violation.)
-    let (naive, blamed) = naive_stall_report(&result);
+    let (naive, blamed) = naive_stall_report(&trace, &result);
     let naive_total = naive.total();
     if !(0.0..=1.0 + 1e-9).contains(&naive_total) {
         return Err((
@@ -262,7 +264,7 @@ fn check_chain(
             format!("naive stall shares sum to {naive_total}"),
         ));
     }
-    if naive_stall_report(&result) != (naive, blamed) {
+    if naive_stall_report(&trace, &result) != (naive, blamed) {
         return Err((
             "naive/determinism".to_string(),
             "naive stall accounting diverged between two runs".to_string(),

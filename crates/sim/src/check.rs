@@ -12,15 +12,16 @@
 //! predictable `Option` branch per cycle and nothing else, keeping the
 //! campaign hot path at full speed.
 //!
-//! [`CheckConfig::fault`] supports *intentional* invariant breaks (e.g. an
-//! off-by-one in the checker's believed ROB capacity) so the verification
-//! harness can prove the checker actually fires — a checker that never
-//! trips is indistinguishable from one that checks nothing.
+//! [`CheckConfig::fault`] supports *intentional* invariant breaks (an
+//! off-by-one in the checker's believed ROB capacity, or a wakeup the
+//! issue stage drops) so the verification harness can prove the checker
+//! actually fires — a checker that never trips is indistinguishable from
+//! one that checks nothing.
 
 use crate::error::SimError;
-use crate::pipeline::{Aux, MEMDEP_REPLAY};
+use crate::pipeline::{Aux, Wakeup, MEMDEP_REPLAY};
 use crate::resources::Pool;
-use crate::trace::{Cycle, InstrEvents, InstrIdx, ResourceKind};
+use crate::trace::{Cycle, InstrEvents, InstrIdx, ResourceKind, NO_INSTR};
 
 /// An intentionally injected invariant break for fault-injection testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +30,10 @@ pub enum InjectedFault {
     /// actually allocates, so the first cycle that fills the ROB trips the
     /// `occupancy/ROB` invariant.
     RobCapacityOffByOne,
+    /// The issue stage drops the first wakeup that would make a waiting
+    /// instruction ready, so it never issues; the `issue/wakeup` invariant
+    /// trips once its producers have completed.
+    LostWakeup,
 }
 
 impl InjectedFault {
@@ -36,6 +41,7 @@ impl InjectedFault {
     pub fn name(self) -> &'static str {
         match self {
             InjectedFault::RobCapacityOffByOne => "rob-off-by-one",
+            InjectedFault::LostWakeup => "lost-wakeup",
         }
     }
 
@@ -43,8 +49,9 @@ impl InjectedFault {
     pub fn parse(text: &str) -> Result<Self, String> {
         match text {
             "rob-off-by-one" => Ok(InjectedFault::RobCapacityOffByOne),
+            "lost-wakeup" => Ok(InjectedFault::LostWakeup),
             other => Err(format!(
-                "unknown injected fault `{other}` (expected rob-off-by-one)"
+                "unknown injected fault `{other}` (expected rob-off-by-one or lost-wakeup)"
             )),
         }
     }
@@ -105,7 +112,9 @@ impl InvariantChecker {
 
     /// Verifies every per-cycle invariant at the end of one main-loop
     /// iteration. `committed` is the range of instructions committed this
-    /// cycle; `pools` lists the six rename-checked resource pools.
+    /// cycle; `aux` holds one entry per renamed instruction; `pools` lists
+    /// the six rename-checked resource pools; `wakeup` is the issue stage's
+    /// wakeup state.
     pub(crate) fn end_of_cycle(
         &mut self,
         cycle: Cycle,
@@ -113,6 +122,7 @@ impl InvariantChecker {
         events: &[InstrEvents],
         aux: &[Aux],
         pools: [(&Pool, ResourceKind); 6],
+        wakeup: &Wakeup,
     ) -> Result<(), SimError> {
         // Watchdog monotonicity: simulated time must advance strictly
         // between iterations (the deadlock watchdog measures no-commit
@@ -151,6 +161,30 @@ impl InvariantChecker {
                         pool.in_use(),
                         pool.capacity(),
                         pool.held_count()
+                    ),
+                ));
+            }
+        }
+
+        // Wakeup: an instruction in the issue queue whose producers have
+        // all completed must be in the ready list or due in the wake wheel
+        // by next cycle — otherwise it would never issue.
+        for j in committed.end..aux.len() as InstrIdx {
+            if events[j as usize].i != Cycle::MAX {
+                continue; // issued
+            }
+            let operands_done = aux[j as usize]
+                .src_producers
+                .iter()
+                .all(|&prod| prod == NO_INSTR || events[prod as usize].p <= cycle);
+            let due = wakeup.ready_at[j as usize] <= cycle + 1 && wakeup.scheduled(j);
+            if operands_done && wakeup.ready.binary_search(&j).is_err() && !due {
+                return Err(self.violation(
+                    "issue/wakeup",
+                    cycle,
+                    format!(
+                        "instruction {j} waits in the issue queue with every producer \
+                         complete, but is neither ready nor due to wake"
                     ),
                 ));
             }
@@ -296,9 +330,29 @@ mod tests {
     }
 
     #[test]
+    fn injected_lost_wakeup_is_caught() {
+        let instrs = trace_gen::linear_int_chain(200);
+        let err = OooCore::new(MicroArch::baseline())
+            .with_invariant_checks(CheckConfig {
+                fault: Some(InjectedFault::LostWakeup),
+            })
+            .run(&instrs)
+            .expect_err("a dropped wakeup must trip the checker");
+        match &err {
+            SimError::InvariantViolation { check, .. } => assert_eq!(check, "issue/wakeup"),
+            other => panic!("expected an invariant violation, got {other}"),
+        }
+    }
+
+    #[test]
     fn fault_names_round_trip() {
-        let f = InjectedFault::RobCapacityOffByOne;
-        assert_eq!(InjectedFault::parse(f.name()), Ok(f));
-        assert!(InjectedFault::parse("bit-flip").is_err());
+        for f in [
+            InjectedFault::RobCapacityOffByOne,
+            InjectedFault::LostWakeup,
+        ] {
+            assert_eq!(InjectedFault::parse(f.name()), Ok(f));
+        }
+        let err = InjectedFault::parse("bit-flip").expect_err("unknown fault");
+        assert!(err.contains("rob-off-by-one") && err.contains("lost-wakeup"));
     }
 }

@@ -172,17 +172,21 @@ fn fu_from(name: &str) -> Option<FuKind> {
     })
 }
 
-/// Serialises a simulation result into the interchange format.
-pub fn export(result: &SimResult) -> String {
+/// Serialises a simulation result into the interchange format;
+/// `instructions` is the trace the result was simulated from.
+///
+/// # Panics
+///
+/// Panics when `instructions` and `result` differ in length.
+pub fn export(instructions: &[Instruction], result: &SimResult) -> String {
+    assert_eq!(
+        instructions.len(),
+        result.trace.len(),
+        "trace and result lengths differ"
+    );
     let mut out = String::with_capacity(result.trace.events.len() * 96);
     let _ = writeln!(out, "ARCHX-TRACE v1 {}", result.trace.events.len());
-    for (idx, (ev, instr)) in result
-        .trace
-        .events
-        .iter()
-        .zip(&result.instructions)
-        .enumerate()
-    {
+    for (idx, (ev, instr)) in result.trace.events.iter().zip(instructions).enumerate() {
         let _ = write!(
             out,
             "I {idx} {} {:#x} f1={} f2={} f={} dc={} r={} dp={} i={} m={} p={} c={}",
@@ -199,7 +203,7 @@ pub fn export(result: &SimResult) -> String {
             ev.p,
             ev.c
         );
-        for stall in &ev.rename_stalls {
+        for stall in result.trace.rename_stalls(idx) {
             let _ = write!(
                 out,
                 " rs={}:{}",
@@ -210,7 +214,7 @@ pub fn export(result: &SimResult) -> String {
         if let Some(wait) = ev.fu_wait {
             let _ = write!(out, " fu={}:{}", fu_name(wait.fu), wait.releaser);
         }
-        for &d in &ev.data_deps {
+        for &d in result.trace.data_deps(idx) {
             let _ = write!(out, " dd={d}");
         }
         if ev.mispredicted {
@@ -239,7 +243,8 @@ pub fn export(result: &SimResult) -> String {
     out
 }
 
-/// Parses the interchange format back into a [`SimResult`].
+/// Parses the interchange format back into the instructions and their
+/// [`SimResult`].
 ///
 /// Only timing-relevant information is reconstructed: register operands
 /// and memory addresses are not part of the format (the DEG does not need
@@ -249,9 +254,11 @@ pub fn export(result: &SimResult) -> String {
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] on malformed input.
-pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
-    let mut events: Vec<InstrEvents> = Vec::new();
+pub fn import(text: &str) -> Result<(Vec<Instruction>, SimResult), ParseTraceError> {
+    let mut trace = PipelineTrace::default();
     let mut instructions: Vec<Instruction> = Vec::new();
+    let mut stalls: Vec<RenameStall> = Vec::new();
+    let mut deps: Vec<InstrIdx> = Vec::new();
     let mut lines = 0usize;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -272,11 +279,11 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| malformed("missing record index"))?;
-        if idx as usize != events.len() {
+        if idx as usize != trace.len() {
             return Err(ParseTraceError::BadSequence {
                 line: lno,
                 found: idx,
-                expected: events.len() as u32,
+                expected: trace.len() as u32,
             });
         }
         let op = fields
@@ -292,6 +299,8 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
             .ok_or_else(|| malformed("bad pc"))?;
 
         let mut ev = InstrEvents::default();
+        stalls.clear();
+        deps.clear();
         let mut cycle_fields = 0;
         for field in fields {
             if let Some((key, value)) = field.split_once('=') {
@@ -326,7 +335,7 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
                         let (res, _) = value
                             .split_once(':')
                             .ok_or_else(|| malformed("rs needs RES:idx"))?;
-                        ev.rename_stalls.push(RenameStall {
+                        stalls.push(RenameStall {
                             resource: resource_from(res)
                                 .ok_or_else(|| malformed("unknown resource"))?,
                             releaser: idx_val()?,
@@ -341,7 +350,7 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
                             releaser: idx_val()?,
                         });
                     }
-                    "dd" => ev.data_deps.push(idx_val()?),
+                    "dd" => deps.push(idx_val()?),
                     "rf" => ev.refill_from = Some(idx_val()?),
                     "fs" => ev.fetch_slot_from = Some(idx_val()?),
                     "fb" => ev.fetch_bw_from = Some(idx_val()?),
@@ -368,7 +377,7 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
         if cycle_fields != 10 {
             return Err(malformed("all ten cycle fields are required"));
         }
-        events.push(ev);
+        trace.push(ev, &stalls, &deps);
         instructions.push(Instruction {
             pc,
             op,
@@ -379,18 +388,18 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
             target: 0,
         });
     }
-    if events.is_empty() {
+    if trace.is_empty() {
         return Err(ParseTraceError::Empty { lines });
     }
 
     // Recompute aggregate statistics from the records.
-    let cycles = events.last().map(|e| e.c).unwrap_or(0);
+    trace.cycles = trace.events.last().map_or(0, |e| e.c);
     let mut stats = SimStats {
-        committed: events.len() as u64,
-        cycles,
+        committed: trace.len() as u64,
+        cycles: trace.cycles,
         ..SimStats::default()
     };
-    for (ev, instr) in events.iter().zip(&instructions) {
+    for (j, (ev, instr)) in trace.events.iter().zip(&instructions).enumerate() {
         if instr.op.is_branch() {
             stats.bp_lookups += 1;
         }
@@ -406,20 +415,12 @@ pub fn import(text: &str) -> Result<SimResult, ParseTraceError> {
                 stats.dcache_misses += 1;
             }
         }
-        for stall in &ev.rename_stalls {
-            let ki = ResourceKind::ALL
-                .iter()
-                .position(|&k| k == stall.resource)
-                .expect("known kind");
-            stats.rename_stall_cycles[ki] += 1;
+        for stall in trace.rename_stalls(j) {
+            stats.rename_stall_cycles[stall.resource as usize] += 1;
         }
     }
 
-    Ok(SimResult {
-        trace: PipelineTrace { events, cycles },
-        stats,
-        instructions,
-    })
+    Ok((instructions, SimResult { trace, stats }))
 }
 
 #[cfg(test)]
@@ -429,16 +430,17 @@ mod tests {
 
     #[test]
     fn export_import_roundtrip_preserves_events() {
+        let instrs = trace_gen::mixed_workload(800, 3);
         let r = OooCore::new(MicroArch::baseline())
-            .run(&trace_gen::mixed_workload(800, 3))
+            .run(&instrs)
             .expect("simulates");
-        let text = export(&r);
-        let back = import(&text).expect("roundtrip parses");
-        assert_eq!(back.trace.events, r.trace.events);
-        assert_eq!(back.trace.cycles, r.trace.cycles);
+        let text = export(&instrs, &r);
+        let (back_instrs, back) = import(&text).expect("roundtrip parses");
+        assert_eq!(back.trace, r.trace);
         assert_eq!(back.stats.committed, r.stats.committed);
         // Ops and pcs survive.
-        for (a, b) in back.instructions.iter().zip(&r.instructions) {
+        assert_eq!(back_instrs.len(), instrs.len());
+        for (a, b) in back_instrs.iter().zip(&instrs) {
             assert_eq!(a.op, b.op);
             assert_eq!(a.pc, b.pc);
         }
@@ -447,7 +449,7 @@ mod tests {
     #[test]
     fn header_and_comments_are_ignored() {
         let text = "# comment\nARCHX-TRACE v1 1\n\nI 0 int_alu 0x40 f1=0 f2=2 f=2 dc=3 r=4 dp=5 i=5 m=5 p=6 c=7\n";
-        let r = import(text).expect("parses");
+        let (_, r) = import(text).expect("parses");
         assert_eq!(r.trace.events.len(), 1);
         assert_eq!(r.trace.cycles, 7);
     }
@@ -487,12 +489,12 @@ mod tests {
     fn imported_trace_feeds_the_deg_identically() {
         // The DEG built from an imported trace must match the original's
         // critical-path length (the whole point of the interchange).
+        let instrs = trace_gen::random_branches(1_500, 9);
         let r = OooCore::new(MicroArch::baseline())
-            .run(&trace_gen::random_branches(1_500, 9))
+            .run(&instrs)
             .expect("simulates");
-        let text = export(&r);
-        let back = import(&text).expect("parses");
-        assert_eq!(back.trace.events, r.trace.events);
+        let (_, back) = import(&export(&instrs, &r)).expect("parses");
+        assert_eq!(back.trace, r.trace);
     }
 
     #[test]

@@ -18,18 +18,6 @@ pub struct FuPool {
     issued: u64,
 }
 
-/// Result of acquiring a functional unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuGrant {
-    /// Cycle at which the unit is actually available (≥ the request cycle
-    /// when the instruction had to wait).
-    pub ready_at: u64,
-    /// Previous user of the granted unit ([`NO_INSTR`] if the unit was
-    /// never used). The pipeline records a contention edge only when the
-    /// requester actually waited.
-    pub last_user: InstrIdx,
-}
-
 impl FuPool {
     /// A pool of `count` units of the given kind.
     pub fn new(kind: FuKind, count: u32) -> Self {
@@ -47,34 +35,26 @@ impl FuPool {
         self.kind
     }
 
-    /// Earliest cycle at which some unit is free.
-    pub fn earliest_free(&self) -> u64 {
-        *self.free_at.iter().min().expect("non-empty pool")
-    }
-
-    /// Whether a unit is free at `cycle`.
-    pub fn available_at(&self, cycle: u64) -> bool {
-        self.free_at.iter().any(|&f| f <= cycle)
-    }
-
-    /// Acquires the earliest-free unit at `cycle` for `instr`, occupying it
-    /// for `occupancy` cycles starting when it becomes available.
-    pub fn acquire(&mut self, cycle: u64, occupancy: u64, instr: InstrIdx) -> FuGrant {
+    /// Acquires a unit free at `cycle` for `instr`, occupying it for
+    /// `occupancy` cycles, and returns the unit's previous user
+    /// ([`NO_INSTR`] if it was never used) — the releaser of the
+    /// issue→issue contention edge when the requester had to wait. Returns
+    /// `None` when every unit is busy at `cycle`.
+    pub fn try_acquire(&mut self, cycle: u64, occupancy: u64, instr: InstrIdx) -> Option<InstrIdx> {
         let (idx, &free_at) = self
             .free_at
             .iter()
             .enumerate()
             .min_by_key(|(_, &f)| f)
             .expect("non-empty pool");
-        let start = free_at.max(cycle);
+        if free_at > cycle {
+            return None;
+        }
         let last_user = self.last_user[idx];
-        self.free_at[idx] = start + occupancy;
+        self.free_at[idx] = cycle + occupancy;
         self.last_user[idx] = instr;
         self.issued += 1;
-        FuGrant {
-            ready_at: start,
-            last_user,
-        }
+        Some(last_user)
     }
 
     /// Operations issued through this pool so far.
@@ -130,22 +110,12 @@ impl FuSet {
 
     /// The pool for a unit kind.
     pub fn pool(&self, kind: FuKind) -> &FuPool {
-        &self.pools[Self::index(kind)]
+        &self.pools[kind as usize]
     }
 
     /// Mutable access to the pool for a unit kind.
     pub fn pool_mut(&mut self, kind: FuKind) -> &mut FuPool {
-        &mut self.pools[Self::index(kind)]
-    }
-
-    fn index(kind: FuKind) -> usize {
-        match kind {
-            FuKind::IntAlu => 0,
-            FuKind::IntMultDiv => 1,
-            FuKind::FpAlu => 2,
-            FuKind::FpMultDiv => 3,
-            FuKind::RdWrPort => 4,
-        }
+        &mut self.pools[kind as usize]
     }
 }
 
@@ -156,28 +126,25 @@ mod tests {
     #[test]
     fn acquire_when_idle_has_no_contention() {
         let mut p = FuPool::new(FuKind::IntAlu, 2);
-        let g = p.acquire(5, 1, 0);
-        assert_eq!(g.ready_at, 5);
-        assert_eq!(g.last_user, NO_INSTR);
+        assert_eq!(p.try_acquire(5, 1, 0), Some(NO_INSTR));
     }
 
     #[test]
     fn acquire_when_busy_waits_and_names_releaser() {
         let mut p = FuPool::new(FuKind::IntMultDiv, 1);
-        p.acquire(0, 12, 7); // unpipelined divide by instr 7
-        let g = p.acquire(1, 12, 8);
-        assert_eq!(g.ready_at, 12);
-        assert_eq!(g.last_user, 7);
+        assert!(p.try_acquire(0, 12, 7).is_some()); // unpipelined divide by instr 7
+        assert_eq!(p.try_acquire(11, 12, 8), None);
+        assert_eq!(p.try_acquire(12, 12, 8), Some(7));
+        assert_eq!(p.issued(), 2);
     }
 
     #[test]
     fn two_units_serve_two_ops_in_parallel() {
         let mut p = FuPool::new(FuKind::FpAlu, 2);
-        let a = p.acquire(0, 1, 0);
-        let b = p.acquire(0, 1, 1);
-        assert_eq!(a.ready_at, 0);
-        assert_eq!(b.ready_at, 0);
-        assert_eq!(b.last_user, NO_INSTR);
+        assert_eq!(p.try_acquire(0, 1, 0), Some(NO_INSTR));
+        assert_eq!(p.try_acquire(0, 1, 1), Some(NO_INSTR));
+        assert_eq!(p.try_acquire(0, 1, 2), None);
+        assert_eq!(p.try_acquire(1, 1, 2), Some(0));
     }
 
     #[test]

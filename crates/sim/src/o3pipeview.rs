@@ -132,8 +132,9 @@ fn classify(disasm: &str, is_store: bool) -> OpClass {
     OpClass::IntAlu
 }
 
-/// Parses O3PipeView text into a [`SimResult`] (pipeline timing only; see
-/// the module docs for what gem5 does and does not dump).
+/// Parses O3PipeView text into the retired instructions and their
+/// [`SimResult`] (pipeline timing only; see the module docs for what gem5
+/// does and does not dump).
 ///
 /// Instructions squashed before retirement (no `retire` record) are
 /// dropped, as in gem5's own pipeline viewer.
@@ -141,7 +142,10 @@ fn classify(disasm: &str, is_store: bool) -> OpClass {
 /// # Errors
 ///
 /// Returns [`O3ParseError`] on malformed input.
-pub fn import_o3pipeview(text: &str, ticks_per_cycle: u64) -> Result<SimResult, O3ParseError> {
+pub fn import_o3pipeview(
+    text: &str,
+    ticks_per_cycle: u64,
+) -> Result<(Vec<Instruction>, SimResult), O3ParseError> {
     assert!(ticks_per_cycle > 0, "ticks_per_cycle must be positive");
     let mut pending: Option<Pending> = None;
     let mut done: Vec<Pending> = Vec::new();
@@ -241,7 +245,7 @@ pub fn import_o3pipeview(text: &str, ticks_per_cycle: u64) -> Result<SimResult, 
         }
     };
 
-    let mut events = Vec::with_capacity(done.len());
+    let mut trace = PipelineTrace::default();
     let mut instructions = Vec::with_capacity(done.len());
     for p in &done {
         let f1 = cyc(p.fetch);
@@ -254,7 +258,7 @@ pub fn import_o3pipeview(text: &str, ticks_per_cycle: u64) -> Result<SimResult, 
         let pdone = cyc(p.complete).max(i + 1);
         let c = cyc(p.retire).max(pdone + 1);
         let op = classify(&p.disasm, p.is_store);
-        events.push(InstrEvents {
+        let ev = InstrEvents {
             f1,
             f2: f1,
             f: f1,
@@ -266,7 +270,8 @@ pub fn import_o3pipeview(text: &str, ticks_per_cycle: u64) -> Result<SimResult, 
             p: pdone,
             c,
             ..InstrEvents::default()
-        });
+        };
+        trace.push(ev, &[], &[]);
         instructions.push(Instruction {
             pc: p.pc,
             op,
@@ -277,17 +282,13 @@ pub fn import_o3pipeview(text: &str, ticks_per_cycle: u64) -> Result<SimResult, 
             target: 0,
         });
     }
-    let cycles = events.last().map(|e: &InstrEvents| e.c).unwrap_or(0);
+    trace.cycles = trace.events.last().map_or(0, |e| e.c);
     let stats = SimStats {
-        committed: events.len() as u64,
-        cycles,
+        committed: trace.len() as u64,
+        cycles: trace.cycles,
         ..SimStats::default()
     };
-    Ok(SimResult {
-        trace: PipelineTrace { events, cycles },
-        stats,
-        instructions,
-    })
+    Ok((instructions, SimResult { trace, stats }))
 }
 
 #[cfg(test)]
@@ -313,17 +314,17 @@ O3PipeView:retire:5000:store:0
 
     #[test]
     fn parses_the_documented_format() {
-        let r = import_o3pipeview(SAMPLE, 500).expect("parses");
+        let (instrs, r) = import_o3pipeview(SAMPLE, 500).expect("parses");
         assert_eq!(r.trace.events.len(), 2);
         let e0 = &r.trace.events[0];
         assert_eq!(e0.f1, 0);
         assert_eq!(e0.dc, 1);
         assert_eq!(e0.i, 4);
         assert_eq!(e0.c, 6);
-        assert_eq!(r.instructions[0].op, OpClass::IntAlu);
-        assert_eq!(r.instructions[0].pc, 0x400100);
+        assert_eq!(instrs[0].op, OpClass::IntAlu);
+        assert_eq!(instrs[0].pc, 0x400100);
         // retire:...:store marks the second record a store.
-        assert_eq!(r.instructions[1].op, OpClass::Store);
+        assert_eq!(instrs[1].op, OpClass::Store);
     }
 
     #[test]
@@ -339,16 +340,16 @@ O3PipeView:issue:4000
 O3PipeView:complete:4500
 O3PipeView:retire:5000
 ";
-        let r = import_o3pipeview(text, 500).expect("parses");
+        let (instrs, r) = import_o3pipeview(text, 500).expect("parses");
         assert_eq!(r.trace.events.len(), 1, "unretired instruction dropped");
-        assert_eq!(r.instructions[0].pc, 0x44);
+        assert_eq!(instrs[0].pc, 0x44);
     }
 
     #[test]
     fn feeds_the_deg_pipeline() {
         // The imported result must be a valid DEG substrate: all stage
         // orderings hold even with gem5's coarser timestamps.
-        let r = import_o3pipeview(SAMPLE, 500).expect("parses");
+        let (_, r) = import_o3pipeview(SAMPLE, 500).expect("parses");
         for ev in &r.trace.events {
             assert!(ev.f1 <= ev.f2 && ev.f2 <= ev.f && ev.f < ev.dc);
             assert!(ev.dc < ev.r && ev.r < ev.dp && ev.dp <= ev.i);

@@ -7,6 +7,11 @@
 //! by issue width and functional units) → `M` memory access → `P`
 //! writeback/complete → `C` in-order commit.
 //!
+//! Issue is wakeup-driven: an instruction enters a program-order ready
+//! list when its last producer's result is due, through per-producer
+//! wakeup lists and a timed wake wheel (see `Wakeup`), so each cycle scans
+//! only the operand-ready entries, not the whole issue queue.
+//!
 //! Misprediction is modelled trace-driven: when a fetched control transfer
 //! is mispredicted (wrong direction, BTB miss on a taken branch, or RAS
 //! mismatch), fetch stalls at the branch and resumes the cycle after it
@@ -15,7 +20,7 @@
 
 use crate::bpred::BranchPredictor;
 use crate::cache::Hierarchy;
-use crate::check::{CheckConfig, InvariantChecker};
+use crate::check::{CheckConfig, InjectedFault, InvariantChecker};
 use crate::config::{MemDepPolicy, MicroArch};
 use crate::error::SimError;
 use crate::fu::FuSet;
@@ -23,10 +28,10 @@ use crate::isa::{Instruction, OpClass, RegClass};
 use crate::resources::Pool;
 use crate::stats::SimStats;
 use crate::trace::{
-    Cycle, FuKind, FuWait, InstrEvents, InstrIdx, RenameStall, ResourceKind, SimResult, NO_INSTR,
+    Cycle, FuWait, InstrEvents, InstrIdx, PipelineTrace, RenameStall, ResourceKind, SimResult,
+    NO_INSTR,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 const UNSET: Cycle = Cycle::MAX;
 
@@ -185,10 +190,10 @@ impl OooCore {
     }
 
     /// Like [`OooCore::run`], but overwrites `out` in place: whatever an
-    /// earlier run left there is discarded, and the event table keeps its
-    /// allocations (including each entry's `rename_stalls` / `data_deps`
-    /// vectors). On success `out` equals what [`run`] returns; on error its
-    /// contents are unspecified, and it can still be reused.
+    /// earlier run left there is discarded, and the event table and the
+    /// trace's stall and dependence buffers keep their allocations. On
+    /// success `out` equals what [`run`] returns; on error its contents are
+    /// unspecified, and it can still be reused.
     ///
     /// [`run`]: OooCore::run
     ///
@@ -209,16 +214,33 @@ impl OooCore {
     ) -> Result<(), SimError> {
         let n = instructions.len() as InstrIdx;
         let arch = &self.arch;
-        let events = &mut out.trace.events;
-        events.truncate(instructions.len());
-        for ev in events.iter_mut() {
-            ev.reset();
-        }
-        events.resize_with(instructions.len(), InstrEvents::blank);
-        out.instructions.clear();
-        out.instructions.extend_from_slice(instructions);
+        let store_sets = arch.mem_dep == MemDepPolicy::StoreSets;
+        out.trace.reset(instructions.len());
+        let PipelineTrace {
+            events,
+            stall_ends,
+            stalls,
+            ..
+        } = &mut out.trace;
         let mut stats = SimStats::default();
-        let mut aux = vec![Aux::default(); instructions.len()];
+        // Filled at rename, in program order.
+        let mut aux: Vec<Aux> = Vec::with_capacity(instructions.len());
+        // Hot timing, read by wakeup, memory ordering and commit: the
+        // completion (`P`) and memory-access (`M`) cycle of every
+        // instruction, `UNSET` until it issues.
+        let mut p = vec![UNSET; instructions.len()];
+        let mut m = vec![UNSET; instructions.len()];
+        // True data dependences, appended at issue (out of program order);
+        // instruction j's are `dep_buf[deps_at[j].0..deps_at[j].1]`.
+        let mut dep_buf: Vec<InstrIdx> = Vec::with_capacity(instructions.len());
+        let mut deps_at = vec![(0u32, 0u32); instructions.len()];
+        let mut wakeup = Wakeup::new(instructions.len());
+        let mut lose_wakeup = matches!(
+            self.checks,
+            Some(CheckConfig {
+                fault: Some(InjectedFault::LostWakeup)
+            })
+        );
 
         let mut bpred = BranchPredictor::new(arch);
         let mut mem = Hierarchy::new(arch);
@@ -257,13 +279,14 @@ impl OooCore {
         let decq_cap = (2 * arch.width) as usize;
 
         // Back end.
-        let mut iq: VecDeque<InstrIdx> = VecDeque::new();
-        // Rename stall bookkeeping for the in-order head.
-        let mut blocked_kinds: Vec<ResourceKind> = Vec::new();
-        // In-flight (renamed, uncommitted) stores for memory ordering.
+        // Resources the in-order rename head has stalled on, in the order
+        // the stalls began.
+        let mut blocked_kinds = KindList::default();
+        // In-flight (renamed, uncommitted) stores for memory ordering, in
+        // program order.
         let mut sq_live: VecDeque<InstrIdx> = VecDeque::new();
         // In-flight issued, uncommitted loads (for violation detection
-        // under store-set speculation).
+        // under store-set speculation; empty otherwise).
         let mut lq_live: VecDeque<InstrIdx> = VecDeque::new();
         // Per-load-PC saturating conflict counters (store-set predictor).
         let mut conflict: HashMap<u64, u8> = HashMap::new();
@@ -273,9 +296,9 @@ impl OooCore {
         let mut cycle: Cycle = 0;
         let mut last_commit_cycle: Cycle = 0;
         let mut occupancy_acc = [0u64; 6];
-        // Completion times of issued, uncommitted instructions — the next
-        // possible wakeup/commit events, used to fast-forward idle cycles.
-        let mut pending_p: BinaryHeap<Reverse<Cycle>> = BinaryHeap::new();
+        // Completion times of issued instructions — the next possible
+        // wakeup/commit events, used to fast-forward idle cycles.
+        let mut completions = Completions::default();
 
         while commit_head < n {
             // ---- Commit (in-order, up to width per cycle) ----
@@ -283,8 +306,7 @@ impl OooCore {
             let mut committed_now = 0;
             while committed_now < arch.width
                 && commit_head < n
-                && events[commit_head as usize].p != UNSET
-                && events[commit_head as usize].p < cycle
+                && p[commit_head as usize] < cycle
                 && aux[commit_head as usize].commit_gate < cycle
             {
                 let j = commit_head;
@@ -293,16 +315,17 @@ impl OooCore {
                 rob.release(ja.rob, j);
                 if ja.lq != u32::MAX {
                     lq_pool.release(ja.lq, j);
-                    if let Some(pos) = lq_live.iter().position(|&s| s == j) {
-                        lq_live.remove(pos);
+                    if store_sets {
+                        if let Some(pos) = lq_live.iter().position(|&s| s == j) {
+                            lq_live.remove(pos);
+                        }
                     }
                 }
                 if ja.sq != u32::MAX {
                     sq_pool.release(ja.sq, j);
-                    // Remove from the live-store window.
-                    if let Some(pos) = sq_live.iter().position(|&s| s == j) {
-                        sq_live.remove(pos);
-                    }
+                    // Stores commit in program order: the oldest live one.
+                    let oldest = sq_live.pop_front();
+                    debug_assert_eq!(oldest, Some(j));
                 }
                 if ja.reg != u32::MAX {
                     match ja.reg_class {
@@ -318,68 +341,52 @@ impl OooCore {
             }
 
             // ---- Issue (oldest-ready-first) ----
+            // Only entries whose operands are ready are examined, in
+            // program order. Memory ordering and the functional unit are
+            // checked at scan time because both can change while an entry
+            // waits (an older store resolves, a conflict counter rises, a
+            // unit frees).
+            wakeup.collect_due(cycle);
             let mut issued_now = 0;
+            let mut kept = 0;
             let mut k = 0;
-            while k < iq.len() && issued_now < arch.width {
-                let j = iq[k];
-                let je = &events[j as usize];
-                if je.dp > cycle {
-                    break; // younger entries dispatched even later
-                }
-                // Operand readiness.
-                let mut ready = true;
-                for s in 0..2 {
-                    let prod = aux[j as usize].src_producers[s];
-                    if prod != NO_INSTR {
-                        let pp = events[prod as usize].p;
-                        if pp == UNSET || pp > cycle {
-                            ready = false;
-                            break;
-                        }
-                    }
-                }
+            while k < wakeup.ready.len() && issued_now < arch.width {
+                let j = wakeup.ready[k];
+                k += 1;
                 let instr = &instructions[j as usize];
                 // Memory ordering: conservatively, loads wait until all
                 // older live stores know their address; under store-set
                 // speculation only previously-conflicting load PCs wait.
-                if ready && instr.op == OpClass::Load {
+                if instr.op == OpClass::Load {
                     let must_wait = match arch.mem_dep {
                         MemDepPolicy::Conservative => true,
                         MemDepPolicy::StoreSets => {
                             conflict.get(&instr.pc).copied().unwrap_or(0) >= 2
                         }
                     };
-                    if must_wait {
-                        for &s in sq_live.iter() {
-                            if s < j {
-                                let ms = events[s as usize].m;
-                                if ms == UNSET || ms > cycle {
-                                    ready = false;
-                                    break;
-                                }
-                            }
-                        }
+                    if must_wait
+                        && sq_live
+                            .iter()
+                            .take_while(|&&s| s < j)
+                            .any(|&s| m[s as usize] > cycle)
+                    {
+                        wakeup.ready[kept] = j;
+                        kept += 1;
+                        continue;
                     }
-                }
-                if !ready {
-                    k += 1;
-                    continue;
                 }
                 // Functional unit.
                 let fu_kind = FuSet::kind_for(instr.op);
-                let pool = fus.pool_mut(fu_kind);
-                if !pool.available_at(cycle) {
+                let Some(last_user) =
+                    fus.pool_mut(fu_kind)
+                        .try_acquire(cycle, FuSet::occupancy(instr.op), j)
+                else {
                     aux[j as usize].fu_blocked = true;
-                    k += 1;
+                    wakeup.ready[kept] = j;
+                    kept += 1;
                     continue;
-                }
-                let grant = pool.acquire(cycle, FuSet::occupancy(instr.op), j);
-                debug_assert_eq!(grant.ready_at, cycle);
-                let fu_idx = FuKind::ALL
-                    .iter()
-                    .position(|&f| f == fu_kind)
-                    .expect("known kind");
-                stats.fu_issued[fu_idx] += 1;
+                };
+                stats.fu_issued[fu_kind as usize] += 1;
 
                 // Record timing.
                 let issue_at = cycle;
@@ -391,10 +398,7 @@ impl OooCore {
                         let fwd = sq_live
                             .iter()
                             .rev()
-                            .find(|&&s| {
-                                s < j && instructions[s as usize].mem_addr == instr.mem_addr
-                            })
-                            .is_some();
+                            .any(|&s| s < j && instructions[s as usize].mem_addr == instr.mem_addr);
                         if fwd {
                             stats.store_forwards += 1;
                             (m_at, m_at + 1, false)
@@ -431,28 +435,30 @@ impl OooCore {
                     }
                 };
 
-                pending_p.push(Reverse(p_at));
+                completions.insert(cycle, p_at);
+                p[j as usize] = p_at;
+                m[j as usize] = m_at;
                 let je = &mut events[j as usize];
                 je.i = issue_at;
                 je.m = m_at;
                 je.p = p_at;
                 je.dcache_miss = dcache_miss;
-                if aux[j as usize].fu_blocked && grant.last_user != NO_INSTR {
+                if aux[j as usize].fu_blocked && last_user != NO_INSTR {
                     je.fu_wait = Some(FuWait {
                         fu: fu_kind,
-                        releaser: grant.last_user,
+                        releaser: last_user,
                     });
                 }
                 // True data dependencies: producers still in flight at
-                // dispatch time. The entry's own (cleared) vector is taken
-                // and reinstalled so its capacity survives reuse of `out`.
+                // dispatch time.
                 let dp_at = je.dp;
-                let mut deps = std::mem::take(&mut je.data_deps);
-                for s in 0..2 {
-                    let prod = aux[j as usize].src_producers[s];
-                    if prod != NO_INSTR && events[prod as usize].p > dp_at && !deps.contains(&prod)
+                let first = dep_buf.len();
+                for prod in aux[j as usize].src_producers {
+                    if prod != NO_INSTR
+                        && p[prod as usize] > dp_at
+                        && !dep_buf[first..].contains(&prod)
                     {
-                        deps.push(prod);
+                        dep_buf.push(prod);
                     }
                 }
                 if instr.op == OpClass::Load {
@@ -460,35 +466,29 @@ impl OooCore {
                     // only a dependence when the load actually waited for
                     // it (speculative loads that issued before the store's
                     // address resolved have no such edge).
-                    for &s in sq_live.iter() {
-                        let ms = events[s as usize].m;
-                        if s < j
-                            && ms != UNSET
-                            && ms <= issue_at
-                            && ms > dp_at
-                            && !deps.contains(&s)
-                        {
-                            deps.push(s);
+                    for &s in sq_live.iter().take_while(|&&s| s < j) {
+                        let ms = m[s as usize];
+                        if ms <= issue_at && ms > dp_at && !dep_buf[first..].contains(&s) {
+                            dep_buf.push(s);
                         }
                     }
                 }
-                events[j as usize].data_deps = deps;
+                deps_at[j as usize] = (first as u32, dep_buf.len() as u32);
 
                 // Track issued loads; detect memory-order violations when
                 // a store's address resolves after a younger load issued.
-                if instr.op == OpClass::Load {
+                if store_sets && instr.op == OpClass::Load {
                     lq_live.push_back(j);
-                } else if instr.op == OpClass::Store && arch.mem_dep == MemDepPolicy::StoreSets {
-                    let store_m = events[j as usize].m;
+                } else if store_sets && instr.op == OpClass::Store {
                     let store_addr = instr.mem_addr;
                     for &ld in lq_live.iter() {
                         if ld > j
                             && instructions[ld as usize].mem_addr == store_addr
-                            && events[ld as usize].i < store_m
+                            && events[ld as usize].i < m_at
                             && events[ld as usize].mem_dep_violation.is_none()
                         {
                             events[ld as usize].mem_dep_violation = Some(j);
-                            let gate = store_m + MEMDEP_REPLAY;
+                            let gate = m_at + MEMDEP_REPLAY;
                             let la = &mut aux[ld as usize];
                             la.commit_gate = la.commit_gate.max(gate);
                             let c = conflict.entry(instructions[ld as usize].pc).or_insert(0);
@@ -498,12 +498,16 @@ impl OooCore {
                     }
                 }
 
+                // Wake the consumers waiting on this result.
+                wakeup.complete(j, p_at, &mut lose_wakeup);
                 // Free the IQ entry at issue.
                 iq_pool.release(aux[j as usize].iq, j);
-                iq.remove(k);
                 issued_now += 1;
-                // Do not advance k: the next entry shifted into slot k.
             }
+            // Entries past the width cutoff stay, unexamined.
+            let len = wakeup.ready.len();
+            wakeup.ready.copy_within(k..len, kept);
+            wakeup.ready.truncate(kept + (len - k));
 
             // ---- Rename (in-order, up to width per cycle) ----
             let mut renamed_now = 0;
@@ -518,7 +522,7 @@ impl OooCore {
                 let need_sq = instr.op == OpClass::Store;
                 let dst_class = instr.dst.map(|d| d.class);
 
-                let mut missing: Vec<ResourceKind> = Vec::new();
+                let mut missing = KindList::default();
                 if !rob.has(1) {
                     missing.push(ResourceKind::Rob);
                 }
@@ -537,21 +541,16 @@ impl OooCore {
                     _ => {}
                 }
                 if !missing.is_empty() {
-                    for &kind in &missing {
-                        if !blocked_kinds.contains(&kind) {
-                            blocked_kinds.push(kind);
-                        }
-                        let ki = ResourceKind::ALL
-                            .iter()
-                            .position(|&x| x == kind)
-                            .expect("known kind");
-                        stats.rename_stall_cycles[ki] += 1;
+                    for &kind in missing.as_slice() {
+                        blocked_kinds.push(kind);
+                        stats.rename_stall_cycles[kind as usize] += 1;
                     }
                     break; // in-order rename stalls the whole stage
                 }
 
                 // All resources available: allocate and record provenance.
-                let ja = &mut aux[j as usize];
+                debug_assert_eq!(aux.len(), j as usize, "rename is in order");
+                let mut ja = Aux::default();
                 let rob_grant = rob.alloc(j).expect("checked above");
                 ja.rob = rob_grant.entry;
                 let iq_grant = iq_pool.alloc(j).expect("checked above");
@@ -580,7 +579,8 @@ impl OooCore {
                     None => None,
                 };
 
-                // Source producers from the rename map.
+                // Source producers from the rename map; the instruction
+                // waits on those that have not issued yet.
                 for s in 0..2 {
                     if let Some(reg) = instr.srcs[s] {
                         let map = match reg.class {
@@ -590,6 +590,8 @@ impl OooCore {
                         ja.src_producers[s] = map[reg.idx as usize];
                     }
                 }
+                wakeup.dispatch(j, cycle + 1, ja.src_producers, &p);
+                aux.push(ja);
                 if let Some(dst) = instr.dst {
                     match dst.class {
                         RegClass::Int => rename_map_int[dst.idx as usize] = j,
@@ -599,8 +601,7 @@ impl OooCore {
 
                 // Record which stalls this instruction experienced, with the
                 // scoreboard's releaser for the entry that unblocked it.
-                let je = &mut events[j as usize];
-                for kind in blocked_kinds.drain(..) {
+                for &kind in blocked_kinds.as_slice() {
                     let releaser = match kind {
                         ResourceKind::Rob => rob_grant.last_releaser,
                         ResourceKind::Iq => iq_grant.last_releaser,
@@ -610,11 +611,14 @@ impl OooCore {
                             reg_grant.map_or(NO_INSTR, |g| g.last_releaser)
                         }
                     };
-                    je.rename_stalls.push(RenameStall {
+                    stalls.push(RenameStall {
                         resource: kind,
                         releaser,
                     });
                 }
+                stall_ends.push(stalls.len() as u32);
+                blocked_kinds = KindList::default();
+                let je = &mut events[j as usize];
                 je.r = cycle;
                 je.dp = cycle + 1;
 
@@ -622,7 +626,6 @@ impl OooCore {
                     sq_live.push_back(j);
                 }
                 decq.pop_front();
-                iq.push_back(j);
                 renamed_now += 1;
             }
 
@@ -679,7 +682,7 @@ impl OooCore {
             // Squash and front-end redirect cost a few cycles on top of
             // the (dynamic) branch resolution time.
             if let Some(b) = fetch_blocked_by {
-                let pb = events[b as usize].p;
+                let pb = p[b as usize];
                 if pb != UNSET && cycle >= pb + REDIRECT_PENALTY {
                     fetch_blocked_by = None;
                 }
@@ -712,7 +715,6 @@ impl OooCore {
                         stats.bp_lookups += 1;
                         let correct = BranchPredictor::correct(pred, instr);
                         if !correct {
-                            events[j as usize].mispredicted = true;
                             stats.mispredicts += 1;
                             blocked = Some(j);
                             stop_after = true;
@@ -725,21 +727,26 @@ impl OooCore {
                         break;
                     }
                 }
-                stats.btb_misses = bpred.btb_misses();
+                // Fetch is in program order: the block's records start here.
+                debug_assert_eq!(events.len(), start as usize);
                 for j in start..end {
-                    let je = &mut events[j as usize];
-                    je.f1 = f1;
-                    je.f2 = f2;
+                    let mut ev = InstrEvents {
+                        f1,
+                        f2,
+                        mispredicted: blocked == Some(j),
+                        ..InstrEvents::BLANK
+                    };
                     if j == start {
-                        je.icache_miss = acc.l1_miss;
+                        ev.icache_miss = acc.l1_miss;
                         if let Some(from) = refill_pending.take() {
                             // After a squash, the misprediction (not the
                             // buffer slot) is the binding dependence.
-                            je.refill_from = Some(from);
+                            ev.refill_from = Some(from);
                         } else {
-                            je.fetch_slot_from = slot_releaser;
+                            ev.fetch_slot_from = slot_releaser;
                         }
                     }
+                    events.push(ev);
                 }
                 blocks.push_back(FetchBlock {
                     next: start,
@@ -768,6 +775,7 @@ impl OooCore {
                         (&int_rf, ResourceKind::IntRf),
                         (&fp_rf, ResourceKind::FpRf),
                     ],
+                    &wakeup,
                 )?;
             }
 
@@ -794,18 +802,13 @@ impl OooCore {
                         target = target.min(b.ready_at);
                     }
                     if let Some(b) = fetch_blocked_by {
-                        let pb = events[b as usize].p;
+                        let pb = p[b as usize];
                         if pb != UNSET {
                             target = target.min(pb + REDIRECT_PENALTY);
                         }
                     }
-                    while let Some(&Reverse(p)) = pending_p.peek() {
-                        if p <= cycle {
-                            pending_p.pop();
-                        } else {
-                            target = target.min(p);
-                            break;
-                        }
+                    if let Some(pc) = completions.next_after(cycle) {
+                        target = target.min(pc);
                     }
                     if target != Cycle::MAX && target > cycle + 1 {
                         advance = target - cycle;
@@ -822,16 +825,13 @@ impl OooCore {
             occupancy_acc[5] += fp_rf.in_use() as u64 * advance;
             // Rename stalls persist through the skipped cycles.
             if advance > 1 {
-                for &kind in blocked_kinds.iter() {
-                    let ki = ResourceKind::ALL
-                        .iter()
-                        .position(|&x| x == kind)
-                        .expect("known kind");
-                    stats.rename_stall_cycles[ki] += advance - 1;
+                for &kind in blocked_kinds.as_slice() {
+                    stats.rename_stall_cycles[kind as usize] += advance - 1;
                 }
             }
 
             cycle += advance;
+            completions.forget_through(cycle);
             if cycle - last_commit_cycle >= self.watchdog {
                 return Err(SimError::Deadlock {
                     cycle,
@@ -856,6 +856,7 @@ impl OooCore {
             .filter(|&c| c != UNSET)
             .unwrap_or(cycle);
         stats.cycles = total_cycles;
+        stats.btb_misses = bpred.btb_misses();
         for (i, acc) in occupancy_acc.iter().enumerate() {
             stats.avg_occupancy[i] = if cycle > 0 {
                 *acc as f64 / cycle as f64
@@ -864,15 +865,256 @@ impl OooCore {
             };
         }
 
+        out.trace.set_deps(&dep_buf, &deps_at);
         out.trace.cycles = total_cycles;
         out.stats = stats;
         Ok(())
     }
 }
 
+/// Up to one entry per resource kind, in the order they were added.
+#[derive(Debug, Clone, Copy)]
+struct KindList {
+    kinds: [ResourceKind; 6],
+    len: usize,
+}
+
+impl Default for KindList {
+    fn default() -> Self {
+        KindList {
+            kinds: [ResourceKind::Rob; 6],
+            len: 0,
+        }
+    }
+}
+
+impl KindList {
+    /// Adds `kind` unless it is already listed.
+    fn push(&mut self, kind: ResourceKind) {
+        if !self.as_slice().contains(&kind) {
+            self.kinds[self.len] = kind;
+            self.len += 1;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn as_slice(&self) -> &[ResourceKind] {
+        &self.kinds[..self.len]
+    }
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// Cycles per turn of the timing wheels: a power of two above the longest
+/// issue-to-completion latency (a load that misses to DRAM, 1 + L1 + L2 +
+/// DRAM cycles), so an entry scheduled by issue or dispatch is less than a
+/// turn ahead.
+const WHEEL: usize = 256;
+const _: () = assert!(
+    WHEEL as Cycle
+        > 1 + crate::config::L1_HIT_CYCLES
+            + crate::config::L2_HIT_CYCLES
+            + crate::config::DRAM_CYCLES
+);
+
+/// Wakeup-driven issue bookkeeping.
+///
+/// At dispatch, each instruction registers source slot `2j + s` on the
+/// list of every producer that has not issued yet; the lists are
+/// intrusive (`head` per producer, `next` per slot), so nothing is
+/// allocated per instruction. When a producer issues, it walks its list:
+/// each consumer's operand-ready time becomes the latest of its dispatch
+/// cycle and its producers' completion cycles, and a consumer with no
+/// unissued producer left is scheduled on the timed wake wheel. Each
+/// cycle, the entries due move to `ready`, which the issue stage scans in
+/// program order. Fields are crate-visible so the invariant checker
+/// ([`crate::check`]) can audit them.
+#[derive(Debug)]
+pub(crate) struct Wakeup {
+    /// First consumer slot waiting on each producer.
+    head: Vec<u32>,
+    /// Next slot on the same producer's list.
+    next: Vec<u32>,
+    /// Producers each instruction still waits on to issue.
+    waiting: Vec<u8>,
+    /// Operand-ready cycle: dispatch and every known producer completion.
+    pub(crate) ready_at: Vec<Cycle>,
+    /// Timed wake wheel: instructions with no unissued producer, listed
+    /// (through `link`) in bucket `ready_at % WHEEL`.
+    bucket: [u32; WHEEL],
+    link: Vec<u32>,
+    /// First cycle whose bucket has not been drained yet.
+    undrained: Cycle,
+    /// Operand-ready, unissued instructions in program order.
+    pub(crate) ready: Vec<InstrIdx>,
+}
+
+impl Wakeup {
+    fn new(n: usize) -> Self {
+        Wakeup {
+            head: vec![NO_SLOT; n],
+            next: vec![NO_SLOT; 2 * n],
+            waiting: vec![0; n],
+            ready_at: vec![0; n],
+            bucket: [NO_SLOT; WHEEL],
+            link: vec![NO_SLOT; n],
+            undrained: 0,
+            ready: Vec::new(),
+        }
+    }
+
+    /// Puts `j` on the wheel, in the bucket of its operand-ready cycle.
+    fn schedule(&mut self, j: usize) {
+        let b = self.ready_at[j] as usize % WHEEL;
+        self.link[j] = self.bucket[b];
+        self.bucket[b] = j as u32;
+    }
+
+    /// Enters instruction `j`, dispatched at `dp`, with source producers
+    /// `producers` whose completion cycles (`UNSET` until issue) are `p`.
+    fn dispatch(&mut self, j: InstrIdx, dp: Cycle, producers: [InstrIdx; 2], p: &[Cycle]) {
+        let ju = j as usize;
+        let mut ready_at = dp;
+        for (s, prod) in producers.into_iter().enumerate() {
+            if prod == NO_INSTR {
+                continue;
+            }
+            let pp = p[prod as usize];
+            if pp == UNSET {
+                let slot = 2 * j + s as u32;
+                self.next[slot as usize] = self.head[prod as usize];
+                self.head[prod as usize] = slot;
+                self.waiting[ju] += 1;
+            } else {
+                ready_at = ready_at.max(pp);
+            }
+        }
+        self.ready_at[ju] = ready_at;
+        if self.waiting[ju] == 0 {
+            self.schedule(ju);
+        }
+    }
+
+    /// Producer `j` issued and completes at `p`: update its consumers.
+    /// When `lose` is set, the first consumer made ready is dropped (the
+    /// [`InjectedFault::LostWakeup`] fault) and `lose` is cleared.
+    fn complete(&mut self, j: InstrIdx, p: Cycle, lose: &mut bool) {
+        let mut slot = self.head[j as usize];
+        while slot != NO_SLOT {
+            let c = (slot / 2) as usize;
+            self.ready_at[c] = self.ready_at[c].max(p);
+            self.waiting[c] -= 1;
+            if self.waiting[c] == 0 {
+                if *lose {
+                    *lose = false;
+                } else {
+                    self.schedule(c);
+                }
+            }
+            slot = self.next[slot as usize];
+        }
+    }
+
+    /// Moves every entry due by `cycle` into the ready list, keeping it in
+    /// program order. Drains the buckets of the cycles since the last call
+    /// (all of them after a jump of a whole turn); an entry a full turn or
+    /// more ahead stays in its bucket.
+    fn collect_due(&mut self, cycle: Cycle) {
+        let before = self.ready.len();
+        let span = (cycle + 1 - self.undrained).min(WHEEL as Cycle);
+        for t in cycle + 1 - span..=cycle {
+            let b = t as usize % WHEEL;
+            let mut j = std::mem::replace(&mut self.bucket[b], NO_SLOT);
+            while j != NO_SLOT {
+                let next = self.link[j as usize];
+                if self.ready_at[j as usize] <= cycle {
+                    self.ready.push(j);
+                } else {
+                    self.link[j as usize] = self.bucket[b];
+                    self.bucket[b] = j;
+                }
+                j = next;
+            }
+        }
+        self.undrained = cycle + 1;
+        if self.ready.len() != before {
+            self.ready.sort_unstable();
+        }
+    }
+
+    /// Whether `j` is scheduled in the wake wheel.
+    pub(crate) fn scheduled(&self, j: InstrIdx) -> bool {
+        let mut k = self.bucket[self.ready_at[j as usize] as usize % WHEEL];
+        while k != NO_SLOT {
+            if k == j {
+                return true;
+            }
+            k = self.link[k as usize];
+        }
+        false
+    }
+}
+
+/// The cycles at which issued, uncommitted instructions complete — the
+/// events the idle fast-forward may jump to. One bit per cycle of the
+/// next turn, indexed modulo `WHEEL`; bits of past cycles are cleared as
+/// time advances, so a set bit names one future cycle.
+#[derive(Debug, Default)]
+struct Completions {
+    bits: [u64; WHEEL / 64],
+    /// Every bit for a cycle up to this one is clear.
+    forgotten: Cycle,
+}
+
+impl Completions {
+    /// Records a completion at `p`, issued at `cycle`.
+    fn insert(&mut self, cycle: Cycle, p: Cycle) {
+        assert!(
+            p > cycle && p - cycle < WHEEL as Cycle,
+            "completion {p} out of the wheel at cycle {cycle}"
+        );
+        let b = p as usize % WHEEL;
+        self.bits[b / 64] |= 1 << (b % 64);
+    }
+
+    /// Clears the bits of every cycle up to `cycle`.
+    fn forget_through(&mut self, cycle: Cycle) {
+        if cycle - self.forgotten >= WHEEL as Cycle {
+            self.bits = [0; WHEEL / 64];
+        } else {
+            for t in self.forgotten + 1..=cycle {
+                let b = t as usize % WHEEL;
+                self.bits[b / 64] &= !(1 << (b % 64));
+            }
+        }
+        self.forgotten = cycle;
+    }
+
+    /// The earliest recorded completion after `cycle` (whose bits up to
+    /// `cycle` must already be forgotten).
+    fn next_after(&self, cycle: Cycle) -> Option<Cycle> {
+        debug_assert_eq!(self.forgotten, cycle);
+        let mut scanned = 0;
+        while scanned < WHEEL {
+            let pos = (cycle as usize + 1 + scanned) % WHEEL;
+            let word = self.bits[pos / 64] >> (pos % 64);
+            if word != 0 {
+                let at = scanned + word.trailing_zeros() as usize;
+                return (at < WHEEL).then(|| cycle + 1 + at as Cycle);
+            }
+            scanned += 64 - pos % 64;
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::FuKind;
     use crate::trace_gen;
 
     #[test]
@@ -974,12 +1216,10 @@ mod tests {
             r.stats.rename_stall_cycles
         );
         // Stalled instructions name their releaser.
-        let with_stall = r
-            .trace
-            .events
-            .iter()
-            .filter(|e| {
-                e.rename_stalls
+        let with_stall = (0..r.trace.len())
+            .filter(|&j| {
+                r.trace
+                    .rename_stalls(j)
                     .iter()
                     .any(|s| s.resource == ResourceKind::IntRf)
             })
@@ -1060,6 +1300,67 @@ mod tests {
             .filter(|e| matches!(e.fu_wait, Some(w) if w.fu == FuKind::IntMultDiv))
             .count();
         assert!(waits > 0, "serialised divides must record FU waits");
+    }
+
+    #[test]
+    fn wakeup_schedules_consumers_when_their_last_producer_issues() {
+        let mut w = Wakeup::new(4);
+        let p = [UNSET; 4];
+        let mut lose = false;
+        w.dispatch(0, 1, [NO_INSTR; 2], &p);
+        w.dispatch(1, 2, [0, NO_INSTR], &p);
+        w.dispatch(2, 2, [0, 1], &p);
+        w.collect_due(1);
+        assert_eq!(w.ready, [0]);
+        w.ready.clear();
+        w.complete(0, 5, &mut lose);
+        // Instruction 2 still waits on 1; instruction 1 is due at 5.
+        w.collect_due(4);
+        assert!(w.ready.is_empty());
+        w.collect_due(5);
+        assert_eq!(w.ready, [1]);
+        w.ready.clear();
+        w.complete(1, 9, &mut lose);
+        w.collect_due(8);
+        assert!(w.ready.is_empty() && w.scheduled(2));
+        // A jump past the due cycle still collects it.
+        w.collect_due(40);
+        assert_eq!(w.ready, [2]);
+        assert!(!w.scheduled(2));
+    }
+
+    #[test]
+    fn wake_wheel_keeps_entries_a_turn_ahead() {
+        let turn = WHEEL as Cycle;
+        let mut w = Wakeup::new(3);
+        let p = [UNSET; 3];
+        w.dispatch(2, 1 + turn, [NO_INSTR; 2], &p);
+        w.dispatch(0, 1, [NO_INSTR; 2], &p);
+        w.collect_due(1);
+        assert_eq!(w.ready, [0], "the entry a turn ahead shares the bucket");
+        w.collect_due(turn);
+        assert_eq!(w.ready, [0]);
+        w.collect_due(3 * turn);
+        assert_eq!(w.ready, [0, 2]);
+    }
+
+    #[test]
+    fn completions_name_the_next_event_within_a_turn() {
+        let mut c = Completions::default();
+        assert_eq!(c.next_after(0), None);
+        c.insert(0, 5);
+        c.insert(0, 115);
+        assert_eq!(c.next_after(0), Some(5));
+        c.forget_through(5);
+        assert_eq!(c.next_after(5), Some(115));
+        c.insert(5, 6);
+        assert_eq!(c.next_after(5), Some(6));
+        c.forget_through(200);
+        assert_eq!(c.next_after(200), None);
+        c.insert(200, 200 + WHEEL as Cycle - 1);
+        assert_eq!(c.next_after(200), Some(200 + WHEEL as Cycle - 1));
+        c.forget_through(10_000);
+        assert_eq!(c.next_after(10_000), None);
     }
 
     #[test]

@@ -73,11 +73,7 @@ impl SimStats {
 
     /// Rename stall cycles for one resource kind.
     pub fn stall_cycles(&self, kind: ResourceKind) -> u64 {
-        let idx = ResourceKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("all kinds listed");
-        self.rename_stall_cycles[idx]
+        self.rename_stall_cycles[kind as usize]
     }
 
     /// Exports the headline counters of this run into the global telemetry

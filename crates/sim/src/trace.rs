@@ -1,7 +1,6 @@
 //! Per-instruction event records: the microexecution ground truth the
 //! dynamic event-dependence graph is built from.
 
-use crate::isa::Instruction;
 use crate::stats::SimStats;
 use std::fmt;
 
@@ -31,7 +30,8 @@ pub enum ResourceKind {
 }
 
 impl ResourceKind {
-    /// All variants, in a stable order.
+    /// All variants, in declaration order: `kind as usize` is the kind's
+    /// index here (and in the per-resource statistics arrays).
     pub const ALL: [ResourceKind; 6] = [
         ResourceKind::Rob,
         ResourceKind::Iq,
@@ -72,7 +72,8 @@ pub enum FuKind {
 }
 
 impl FuKind {
-    /// All variants, in a stable order.
+    /// All variants, in declaration order: `kind as usize` is the kind's
+    /// index here (and in the per-unit statistics arrays).
     pub const ALL: [FuKind; 5] = [
         FuKind::IntAlu,
         FuKind::IntMultDiv,
@@ -114,7 +115,11 @@ pub struct FuWait {
     pub releaser: InstrIdx,
 }
 
-/// Event times and dependence records for one committed instruction.
+/// Event times and single-valued dependence records for one committed
+/// instruction. The list-valued records, rename stalls and true data
+/// dependences, live in the enclosing [`PipelineTrace`] (see
+/// [`PipelineTrace::rename_stalls`] and [`PipelineTrace::data_deps`]), so
+/// this record is plain data.
 ///
 /// All cycle fields are absolute simulation cycles. Stage names follow the
 /// paper's Figure 7: `F1` (I-cache request) → `F2` (I-cache response) → `F`
@@ -122,7 +127,7 @@ pub struct FuWait {
 /// granted) → `DP` (dispatch into the issue queue) → `I` (issue) → `M`
 /// (memory access begins, memory ops only) → `P` (execution complete /
 /// writeback) → `C` (commit).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InstrEvents {
     /// I-cache request sent.
     pub f1: Cycle,
@@ -144,13 +149,8 @@ pub struct InstrEvents {
     pub p: Cycle,
     /// Committed.
     pub c: Cycle,
-    /// Rename stalls and their resolving releasers, in resolution order.
-    pub rename_stalls: Vec<RenameStall>,
     /// Functional-unit wait, if the instruction had to wait for a unit.
     pub fu_wait: Option<FuWait>,
-    /// Producers of this instruction's sources that were still in flight
-    /// when it entered the issue window (true data dependencies).
-    pub data_deps: Vec<InstrIdx>,
     /// True when this instruction is a mispredicted branch (it redirected
     /// the front end when it resolved).
     pub mispredicted: bool,
@@ -181,48 +181,47 @@ impl InstrEvents {
         self.c.saturating_sub(self.f1)
     }
 
-    /// A fresh pre-run record: every stage cycle unset (`Cycle::MAX`), no
+    /// The pre-run record: every stage cycle unset (`Cycle::MAX`), no
     /// dependence records.
-    pub fn blank() -> Self {
-        let mut ev = InstrEvents::default();
-        ev.reset();
-        ev
-    }
-
-    /// Resets to the pre-run blank state while keeping the capacity of the
-    /// per-instruction `rename_stalls` / `data_deps` vectors, so
-    /// [`OooCore::run_into`](crate::OooCore::run_into) can reuse them.
-    pub fn reset(&mut self) {
-        self.f1 = Cycle::MAX;
-        self.f2 = Cycle::MAX;
-        self.f = Cycle::MAX;
-        self.dc = Cycle::MAX;
-        self.r = Cycle::MAX;
-        self.dp = Cycle::MAX;
-        self.i = Cycle::MAX;
-        self.m = Cycle::MAX;
-        self.p = Cycle::MAX;
-        self.c = Cycle::MAX;
-        self.rename_stalls.clear();
-        self.fu_wait = None;
-        self.data_deps.clear();
-        self.mispredicted = false;
-        self.refill_from = None;
-        self.fetch_slot_from = None;
-        self.fetch_bw_from = None;
-        self.mem_dep_violation = None;
-        self.icache_miss = false;
-        self.dcache_miss = false;
-    }
+    pub const BLANK: InstrEvents = InstrEvents {
+        f1: Cycle::MAX,
+        f2: Cycle::MAX,
+        f: Cycle::MAX,
+        dc: Cycle::MAX,
+        r: Cycle::MAX,
+        dp: Cycle::MAX,
+        i: Cycle::MAX,
+        m: Cycle::MAX,
+        p: Cycle::MAX,
+        c: Cycle::MAX,
+        fu_wait: None,
+        mispredicted: false,
+        refill_from: None,
+        fetch_slot_from: None,
+        fetch_bw_from: None,
+        mem_dep_violation: None,
+        icache_miss: false,
+        dcache_miss: false,
+    };
 }
 
 /// The full microexecution record of a simulation.
+///
+/// Each instruction's rename stalls and true data dependences are stored
+/// flat, in program order, in two trace-level buffers with one end offset
+/// per instruction, so a record holds no heap data of its own. Build a
+/// trace with [`PipelineTrace::push`], which keeps the buffers aligned
+/// with `events`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineTrace {
     /// Per committed instruction, in program order.
     pub events: Vec<InstrEvents>,
     /// Total simulated cycles (commit cycle of the last instruction).
     pub cycles: Cycle,
+    pub(crate) stall_ends: Vec<u32>,
+    pub(crate) stalls: Vec<RenameStall>,
+    dep_ends: Vec<u32>,
+    deps: Vec<InstrIdx>,
 }
 
 impl PipelineTrace {
@@ -235,19 +234,98 @@ impl PipelineTrace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// Instruction `j`'s rename stalls and their resolving releasers, in
+    /// resolution order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not the index of a record added by
+    /// [`PipelineTrace::push`] or the simulator.
+    pub fn rename_stalls(&self, j: usize) -> &[RenameStall] {
+        &self.stalls[span(&self.stall_ends, j)]
+    }
+
+    /// Producers of instruction `j`'s operands that were still in flight
+    /// when it entered the issue window (true data dependencies), in
+    /// discovery order: register producers first, then older stores whose
+    /// address generation gated a load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not the index of a record added by
+    /// [`PipelineTrace::push`] or the simulator.
+    pub fn data_deps(&self, j: usize) -> &[InstrIdx] {
+        &self.deps[span(&self.dep_ends, j)]
+    }
+
+    /// Appends the next instruction's record with its rename stalls and
+    /// data dependences.
+    pub fn push(&mut self, ev: InstrEvents, stalls: &[RenameStall], deps: &[InstrIdx]) {
+        self.events.push(ev);
+        self.stalls.extend_from_slice(stalls);
+        self.stall_ends.push(self.stalls.len() as u32);
+        self.deps.extend_from_slice(deps);
+        self.dep_ends.push(self.deps.len() as u32);
+    }
+
+    /// Keeps only the first `len` instructions' records.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.events.truncate(len);
+        self.stall_ends.truncate(len);
+        self.stalls
+            .truncate(self.stall_ends.last().map_or(0, |&e| e as usize));
+        self.dep_ends.truncate(len);
+        self.deps
+            .truncate(self.dep_ends.last().map_or(0, |&e| e as usize));
+    }
+
+    /// Empties the trace, keeping every allocation, and reserves room for
+    /// `n` instructions.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.events.clear();
+        self.events.reserve(n);
+        self.cycles = 0;
+        self.stall_ends.clear();
+        self.stalls.clear();
+        self.dep_ends.clear();
+        self.deps.clear();
+    }
+
+    /// Installs every instruction's data dependences at once: instruction
+    /// `j`'s are `deps[ranges[j].0..ranges[j].1]`, in any layout (the
+    /// simulator discovers them in issue order).
+    pub(crate) fn set_deps(&mut self, deps: &[InstrIdx], ranges: &[(u32, u32)]) {
+        self.deps.clear();
+        self.dep_ends.clear();
+        for &(start, end) in ranges {
+            self.deps
+                .extend_from_slice(&deps[start as usize..end as usize]);
+            self.dep_ends.push(self.deps.len() as u32);
+        }
+    }
+}
+
+/// The index range of entry `j` in a buffer whose entries end at `ends`.
+fn span(ends: &[u32], j: usize) -> std::ops::Range<usize> {
+    let start = if j == 0 { 0 } else { ends[j - 1] as usize };
+    start..ends[j] as usize
 }
 
 /// Result of a simulation: the trace plus aggregate statistics. The
 /// default value is an empty result, ready to be filled by
-/// [`OooCore::run_into`](crate::OooCore::run_into).
+/// [`OooCore::run_into`](crate::OooCore::run_into). The simulated
+/// instructions are not copied in: `trace.events[j]` describes the `j`th
+/// instruction of the slice the core ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Per-instruction microexecution record.
     pub trace: PipelineTrace,
     /// Aggregate statistics (IPC, cache/branch activity, occupancies).
     pub stats: SimStats,
-    /// The instructions that were simulated, aligned with `trace.events`.
-    pub instructions: Vec<Instruction>,
 }
 
 #[cfg(test)]
@@ -275,12 +353,54 @@ mod tests {
     }
 
     #[test]
+    fn discriminants_index_all() {
+        for (i, &k) in ResourceKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i);
+        }
+        for (i, &k) in FuKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i);
+        }
+    }
+
+    #[test]
     fn trace_len() {
-        let t = PipelineTrace {
-            events: vec![InstrEvents::default()],
-            cycles: 1,
-        };
+        let mut t = PipelineTrace::default();
+        t.push(InstrEvents::default(), &[], &[]);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn lists_are_addressed_per_instruction() {
+        let stall = |releaser| RenameStall {
+            resource: ResourceKind::Iq,
+            releaser,
+        };
+        let mut t = PipelineTrace::default();
+        t.push(InstrEvents::BLANK, &[stall(7)], &[]);
+        t.push(InstrEvents::BLANK, &[], &[0]);
+        t.push(InstrEvents::BLANK, &[stall(1), stall(0)], &[1, 0]);
+        assert_eq!(t.rename_stalls(0), &[stall(7)]);
+        assert!(t.rename_stalls(1).is_empty());
+        assert_eq!(t.rename_stalls(2), &[stall(1), stall(0)]);
+        assert!(t.data_deps(0).is_empty());
+        assert_eq!(t.data_deps(1), &[0]);
+        assert_eq!(t.data_deps(2), &[1, 0]);
+
+        let mut prefix = t.clone();
+        prefix.truncate(2);
+        let mut expect = PipelineTrace::default();
+        expect.push(InstrEvents::BLANK, &[stall(7)], &[]);
+        expect.push(InstrEvents::BLANK, &[], &[0]);
+        assert_eq!(prefix, expect);
+
+        // Issue-order dependence lists are laid out in program order.
+        let mut sim = PipelineTrace::default();
+        sim.reset(3);
+        sim.events.resize(3, InstrEvents::BLANK);
+        sim.stalls.extend([stall(7), stall(1), stall(0)]);
+        sim.stall_ends.extend([1, 1, 3]);
+        sim.set_deps(&[1, 0, 0], &[(0, 0), (2, 3), (0, 2)]);
+        assert_eq!(sim, t);
     }
 }

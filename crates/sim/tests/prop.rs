@@ -90,7 +90,7 @@ proptest! {
         prop_assert_eq!(r.stats.committed, 800);
         prop_assert_eq!(r.trace.cycles, r.trace.events.last().unwrap().c);
         // Issue happens only after dispatch; memory ops get distinct M.
-        for (ev, instr) in r.trace.events.iter().zip(&r.instructions) {
+        for (ev, instr) in r.trace.events.iter().zip(&trace) {
             prop_assert!(ev.i >= ev.dp);
             if instr.op.is_mem() {
                 prop_assert_eq!(ev.m, ev.i + 1);

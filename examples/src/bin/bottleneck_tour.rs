@@ -38,7 +38,7 @@ fn analyze(label: &str, arch: MicroArch, trace: &[archexplorer::sim::Instruction
     println!("{}", report.render());
 
     // Contrast with the prior static formulation.
-    let (estimate, _) = CalipersModel::from_arch(&arch).analyze(&result);
+    let (estimate, _) = CalipersModel::from_arch(&arch).analyze(trace, &result);
     println!(
         "prior (static) formulation estimates {estimate} cycles ({:+.1}% vs actual)\n",
         100.0 * (estimate as f64 / result.trace.cycles as f64 - 1.0)
