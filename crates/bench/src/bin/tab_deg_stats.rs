@@ -1,7 +1,8 @@
 //! **Footnote 5 / overhead analysis**: graph-size comparison between the
 //! induced DEG and the prior (Calipers-style) formulation on the SPEC17
-//! suite, and the critical-path analysis runtime as a fraction of the
-//! simulation runtime.
+//! suite, and the runtime of the analysis the evaluator runs
+//! (`fused::analyze`) as a fraction of the simulation runtime. Each
+//! workload's fused path is checked against the explicit chain's.
 //!
 //! Paper: the induced DEG has ~39.6% *more* vertices and ~51.7% *fewer*
 //! edges than Calipers, and the longest-path evaluation costs ~2.2% of the
@@ -14,7 +15,7 @@
 //! ```
 
 use archexplorer::deg::prelude::*;
-use archexplorer::deg::CalipersModel;
+use archexplorer::deg::{fused, CalipersModel};
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
 use archx_bench::{Args, Table};
@@ -45,11 +46,19 @@ fn main() {
         let result = core.run(&trace).expect("simulates");
         let sim_ms = t0.elapsed().as_secs_f64() * 1e3;
 
+        // The evaluator's analysis is the fused pass; the explicit chain
+        // gives the graph's size and must find the same path.
         let t1 = Instant::now();
-        let mut deg = induce(build_deg(&result));
-        let path = archexplorer::deg::critical::critical_path(&mut deg);
+        let (path, _) = fused::analyze(&result);
         let ana_ms = t1.elapsed().as_secs_f64() * 1e3;
         assert_eq!(path.total_delay, result.trace.cycles);
+        let mut deg = induce(build_deg(&result));
+        assert_eq!(
+            path,
+            critical_path(&mut deg),
+            "fused != explicit on {}",
+            w.id.0
+        );
 
         let (_, _, cv, ce) = CalipersModel::from_arch(&arch).analyze_with_stats(&trace, &result);
         v_sum += deg.node_count() as f64;

@@ -120,11 +120,7 @@ fn area2d(points: &[[f64; 2]]) -> f64 {
             i += 1;
         }
         if y > best_y {
-            let x_next = if i < pts.len() { pts[i][0] } else { 0.0 };
-            // The strip between x and the next distinct x gains height y;
-            // account the full column [x_next, x] with height y, minus what
-            // was already counted: handled by accumulating column-wise.
-            let _ = x_next;
+            // The band of heights (best_y, y] is dominated from 0 to x.
             area += x * (y - best_y);
             best_y = y;
         }

@@ -81,3 +81,33 @@ fn exact_on_random_lattice_designs() {
         assert_exact(space.random(&mut rng), &trace);
     }
 }
+
+/// The fused analysis the evaluator runs returns the explicit chain's
+/// critical path and a bit-identical report on Table-4 designs over the
+/// traces of the layer benchmark's `evaluate` workload.
+#[test]
+fn fused_equals_explicit_on_table4_designs() {
+    use archexplorer::deg::{bottleneck, fused};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let space = DesignSpace::table4();
+    let mut rng = StdRng::seed_from_u64(11);
+    let designs: Vec<MicroArch> = (0..12).map(|_| space.random(&mut rng)).collect();
+    let suite = spec06_suite();
+    for name in ["401.bzip2", "429.mcf", "456.hmmer", "470.lbm"] {
+        let w = suite.iter().find(|w| w.id.0 == name).expect("in SPEC06");
+        let trace = w.generate(3_000, 1);
+        for &arch in &designs {
+            let r = OooCore::new(arch).run(&trace).expect("simulates");
+            let mut deg = induce(build_deg(&r));
+            let path = critical_path(&mut deg);
+            let report = bottleneck::analyze(&deg, &path);
+            let (fused_path, fused_report) = fused::analyze(&r);
+            assert_eq!(fused_path, path, "{name} on {arch}");
+            assert_eq!(fused_report.length, report.length);
+            for (f, e) in fused_report.contributions.iter().zip(&report.contributions) {
+                assert_eq!(f.to_bits(), e.to_bits(), "{name} on {arch}");
+            }
+        }
+    }
+}
