@@ -28,12 +28,23 @@ impl Args {
 
     /// Integer argument with default.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        cliopt::get(&self.map, key, default)
+        self.get(key, default)
     }
 
     /// Usize argument with default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        cliopt::get(&self.map, key, default)
+        self.get(key, default)
+    }
+
+    /// Floating-point argument with default.
+    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
+        self.get(key, default)
+    }
+
+    /// Typed lookup through [`cliopt::get`]; a value that does not parse
+    /// ends the process with a message naming the key and the value.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        cliopt::get(&self.map, key, default).unwrap_or_else(|e| fail(&e))
     }
 
     /// String argument with default.
@@ -68,6 +79,12 @@ impl Args {
     }
 }
 
+/// Ends an experiment binary on an argument error, with exit status 2.
+pub fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,6 +96,7 @@ mod tests {
         assert_eq!(a.get_u64("missing", 7), 7);
         assert_eq!(a.get_str("suite", "spec06"), "spec17");
         assert_eq!(a.get_usize("budget", 0), 120);
+        assert_eq!(a.get_f64("budget", 0.5), 120.0);
     }
 
     #[test]

@@ -21,12 +21,7 @@ fn main() {
     let instrs = args.get_usize("instrs", 12_000);
     let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", 6);
-    let mut suite: Vec<Workload> = spec06_suite();
-    suite.truncate(limit.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = suite_prefix(spec06_suite(), limit);
     let space = DesignSpace::table4();
 
     let base = ArchExplorerOptions {

@@ -27,12 +27,7 @@ fn main() -> ExitCode {
     let out = args.get_str("out", "BENCH_campaign.json");
     let sim_budget = args.get_u64("budget", 10);
     let instrs = args.get_usize("instrs", 800);
-    let mut suite = spec06_suite();
-    suite.truncate(args.get_usize("workloads", 2).max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = suite_prefix(spec06_suite(), args.get_usize("workloads", 2));
     let workloads = suite.len();
     let template = Evaluator::builder(suite).window(instrs).seed(1).threads(1);
     let space = DesignSpace::table4();

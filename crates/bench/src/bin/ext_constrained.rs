@@ -19,16 +19,11 @@ fn main() {
     let telemetry_mode = args.telemetry();
     let budget = args.get_u64("budget", 240);
     let instrs = args.get_usize("instrs", 15_000);
-    let power_cap: f64 = args.get_str("power_cap", "0.15").parse().unwrap_or(0.15);
-    let area_cap: f64 = args.get_str("area_cap", "4.5").parse().unwrap_or(4.5);
+    let power_cap = args.get_f64("power_cap", 0.15);
+    let area_cap = args.get_f64("area_cap", 4.5);
     let limit = args.get_usize("workloads", 6);
 
-    let mut suite: Vec<Workload> = spec06_suite();
-    suite.truncate(limit.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
+    let suite = suite_prefix(spec06_suite(), limit);
     let space = DesignSpace::table4();
     let objective = Objective::ConstrainedPerf {
         power_cap,

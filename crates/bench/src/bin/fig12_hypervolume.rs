@@ -153,24 +153,22 @@ fn main() {
             .max(1),
     };
 
-    // Every run's traces use the first search seed.
-    let template = |mut v: Vec<Workload>| {
-        v.truncate(limit.max(1));
-        let w = 1.0 / v.len() as f64;
-        for x in &mut v {
-            x.weight = w;
-        }
-        Evaluator::builder(v).window(instrs).seed(seed)
+    let names = match which.as_str() {
+        "both" => vec!["spec06", "spec17"],
+        one => vec![one],
     };
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| seed + i).collect();
-    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
-        if which != name.to_lowercase() && which != "both" {
-            continue;
-        }
+    for name in names {
+        let suite = suite_named(name).unwrap_or_else(|e| archx_bench::args::fail(&e));
+        // Every run's traces use the first search seed.
+        let template = Evaluator::builder(suite_prefix(suite, limit))
+            .window(instrs)
+            .seed(seed);
+        let name = name.to_uppercase();
         if n_seeds > 1 {
-            run_suite_sweep(name, &template(suite), sim_budget, &seeds, &parallel);
+            run_suite_sweep(&name, &template, sim_budget, &seeds, &parallel);
         } else {
-            run_suite(name, &template(suite), sim_budget, &parallel);
+            run_suite(&name, &template, sim_budget, &parallel);
         }
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);

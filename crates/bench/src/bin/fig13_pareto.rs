@@ -19,13 +19,7 @@ fn main() {
     let telemetry_mode = args.telemetry();
     let sim_budget = args.get_u64("budget", 360);
     let limit = args.get_usize("workloads", usize::MAX);
-    let mut suite = spec06_suite();
-    suite.truncate(limit.max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
-    let template = Evaluator::builder(suite)
+    let template = Evaluator::builder(suite_prefix(spec06_suite(), limit))
         .window(args.get_usize("instrs", 20_000))
         .seed(args.get_u64("seed", 1));
 

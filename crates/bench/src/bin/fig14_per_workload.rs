@@ -25,12 +25,8 @@ fn main() {
         Method::BoomExplorer,
     ];
 
-    for (name, mut suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
-        suite.truncate(limit.max(1));
-        let w = 1.0 / suite.len() as f64;
-        for x in &mut suite {
-            x.weight = w;
-        }
+    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
+        let suite = suite_prefix(suite, limit);
         let space = DesignSpace::table4();
         let template = Evaluator::builder(suite.clone()).window(instrs).seed(seed);
 

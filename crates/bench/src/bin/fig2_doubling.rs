@@ -19,13 +19,10 @@ fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
-    let session = Session::builder()
-        .suite(Suite::Spec17)
-        .instrs_per_workload(instrs)
-        .build();
+    let evaluator = Evaluator::builder(spec17_suite()).window(instrs).build();
 
     let baseline = MicroArch::baseline();
-    let base = session.evaluate(&baseline).expect("evaluates").ppa;
+    let base = evaluator.evaluate(&baseline).expect("evaluates").ppa;
     println!(
         "baseline: IPC {:.4}, power {:.4} W, area {:.4} mm², trade-off {:.4}\n",
         base.ipc,
@@ -64,7 +61,7 @@ fn main() {
         if arch.validate().is_err() {
             continue;
         }
-        let ppa = session.evaluate(&arch).expect("evaluates").ppa;
+        let ppa = evaluator.evaluate(&arch).expect("evaluates").ppa;
         t.row([
             label.to_string(),
             format!("{:.2}", 100.0 * ppa.ipc / base.ipc),

@@ -16,10 +16,7 @@ fn main() {
     let args = Args::from_env();
     let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 50_000);
-    let session = Session::builder()
-        .suite(Suite::Spec17)
-        .instrs_per_workload(instrs)
-        .build();
+    let evaluator = Evaluator::builder(spec17_suite()).window(instrs).build();
 
     let arch = MicroArch::baseline();
     let mut spec = Table::new(["component", "value"]);
@@ -65,7 +62,7 @@ fn main() {
         ]);
     println!("Table 1: baseline microarchitecture\n{}", spec.to_text());
 
-    let eval = session.evaluate(&arch).expect("baseline evaluates");
+    let eval = evaluator.evaluate(&arch).expect("baseline evaluates");
     let mut out = Table::new(["metric", "measured", "paper"]);
     out.row([
         "IPC".to_string(),
@@ -89,14 +86,14 @@ fn main() {
     ]);
     println!(
         "measured on {} SPEC17-like workloads, {} instrs each:\n{}",
-        session.suite().len(),
+        evaluator.workloads().len(),
         instrs,
         out.to_text()
     );
 
     println!("per-workload IPC:");
     let mut t = Table::new(["workload", "ipc", "power_w"]);
-    for (w, ppa) in session.suite().iter().zip(&eval.per_workload) {
+    for (w, ppa) in evaluator.workloads().iter().zip(&eval.per_workload) {
         t.row([
             w.id.0.to_string(),
             format!("{:.4}", ppa.ipc),

@@ -28,7 +28,7 @@ fn main() {
     let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", usize::MAX);
     // Target = this fraction of the best final hypervolume across methods.
-    let target_frac: f64 = args.get_str("target_frac", "0.95").parse().unwrap_or(0.95);
+    let target_frac = args.get_f64("target_frac", 0.95);
     let jobs = args.get_usize("jobs", 1).max(1);
     let parallel = ParallelConfig {
         jobs,
@@ -37,12 +37,8 @@ fn main() {
             .max(1),
     };
 
-    for (name, mut suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
-        suite.truncate(limit.max(1));
-        let w = 1.0 / suite.len() as f64;
-        for x in &mut suite {
-            x.weight = w;
-        }
+    for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
+        let suite = suite_prefix(suite, limit);
         let methods = [
             Method::ArchRanker,
             Method::AdaBoost,

@@ -1,6 +1,5 @@
 //! Shared helpers for the ArchExplorer benchmark/experiment harnesses.
-//! The per-figure binaries live in `src/bin/`; Criterion benches in
-//! `benches/`.
+//! The per-figure binaries live in `src/bin/`.
 
 pub mod args;
 pub mod emit;

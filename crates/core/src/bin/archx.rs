@@ -52,7 +52,7 @@
 
 use archexplorer::cliopt::{
     extract_telemetry, get, normalize_flags, parse_kv, parse_method, parse_methods, parse_seeds,
-    TelemetryMode,
+    workloads, TelemetryMode,
 };
 use archexplorer::deg::prelude::*;
 use archexplorer::dse::journal::Journal;
@@ -61,23 +61,6 @@ use archexplorer::sim::extern_trace;
 use archexplorer::telemetry;
 use std::collections::HashMap;
 use std::process::ExitCode;
-
-fn suite_of(kv: &HashMap<String, String>) -> Suite {
-    match kv.get("suite").map(String::as_str) {
-        Some("spec17") => Suite::Spec17,
-        _ => Suite::Spec06,
-    }
-}
-
-/// Workload list: `suite_file=PATH` (custom suite description) wins over
-/// the bundled `suite=spec06|spec17`.
-fn workloads_of(kv: &HashMap<String, String>) -> Result<Vec<Workload>, String> {
-    if let Some(path) = kv.get("suite_file") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return archexplorer::workloads::parse_suite(&text).map_err(|e| e.to_string());
-    }
-    Ok(suite_of(kv).workloads())
-}
 
 fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String> {
     let mut arch = MicroArch::baseline();
@@ -95,15 +78,9 @@ fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String
 
 fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     let arch = arch_with_overrides(kv)?;
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
-    let evaluator = Evaluator::builder(suite)
-        .window(get(kv, "instrs", 20_000))
-        .seed(get(kv, "seed", 1))
+    let evaluator = Evaluator::builder(workloads(kv)?)
+        .window(get(kv, "instrs", 20_000)?)
+        .seed(get(kv, "seed", 1)?)
         .build();
     println!("design: {arch}");
     let e = evaluator
@@ -129,15 +106,19 @@ fn evaluator_template(
     suite: Vec<Workload>,
     instrs: usize,
     seed: u64,
-) -> EvaluatorBuilder {
-    Evaluator::builder(suite)
+) -> Result<EvaluatorBuilder, String> {
+    let cycle_budget = kv
+        .get("cycle_budget")
+        .map(|_| get(kv, "cycle_budget", 0))
+        .transpose()?;
+    Ok(Evaluator::builder(suite)
         .window(instrs)
         .seed(seed)
         .limits(SimLimits {
-            cycle_budget: kv.get("cycle_budget").and_then(|v| v.parse().ok()),
+            cycle_budget,
             ..SimLimits::default()
         })
-        .max_retries(get(kv, "retries", 1u32))
+        .max_retries(get(kv, "retries", 1u32)?))
 }
 
 /// `progress=1` streams one line per evaluated design to stderr; under
@@ -158,21 +139,16 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("archexplorer"),
     )?;
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
-    let sim_budget = get(kv, "budget", 240u64);
-    let seed = get(kv, "seed", 1u64);
-    let instrs = get(kv, "instrs", 20_000usize);
+    let suite = workloads(kv)?;
+    let sim_budget = get(kv, "budget", 240u64)?;
+    let seed = get(kv, "seed", 1u64)?;
+    let instrs = get(kv, "instrs", 20_000usize)?;
     eprintln!(
         "exploring with {method} for {sim_budget} simulations ({} workloads x {instrs} instrs)...",
         suite.len(),
     );
-    let evaluator = evaluator_template(kv, suite, instrs, seed).build();
-    if get(kv, "progress", 0u8) == 1 {
+    let evaluator = evaluator_template(kv, suite, instrs, seed)?.build();
+    if get(kv, "progress", 0u8)? == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }
     // The fingerprint pins everything the journal's replayed results
@@ -250,29 +226,24 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
     let methods = parse_methods(kv.get("methods").map(String::as_str).unwrap_or("all"))?;
     let seeds: Vec<u64> = match kv.get("seeds") {
         Some(list) => parse_seeds(list)?,
-        None => vec![get(kv, "seed", 1u64)],
+        None => vec![get(kv, "seed", 1u64)?],
     };
-    let mut suite = workloads_of(kv)?;
-    suite.truncate(get(kv, "workloads", usize::MAX).max(1));
-    let w = 1.0 / suite.len() as f64;
-    for x in &mut suite {
-        x.weight = w;
-    }
-    let jobs = get(kv, "jobs", 1usize).max(1);
+    let suite = workloads(kv)?;
+    let jobs = get(kv, "jobs", 1usize)?.max(1);
     let parallel = ParallelConfig {
         jobs,
         total_threads: get(
             kv,
             "threads",
             jobs.max(archexplorer::dse::default_threads()),
-        )
+        )?
         .max(1),
     };
-    let sim_budget = get(kv, "budget", 240u64);
+    let sim_budget = get(kv, "budget", 240u64)?;
     // Every run shares one trace seed: `trace_seed=` when given, else the
     // first search seed.
-    let trace_seed = get(kv, "trace_seed", seeds[0]);
-    let template = evaluator_template(kv, suite, get(kv, "instrs", 20_000), trace_seed);
+    let trace_seed = get(kv, "trace_seed", seeds[0])?;
+    let template = evaluator_template(kv, suite, get(kv, "instrs", 20_000)?, trace_seed)?;
     let specs: Vec<RunSpec> = methods
         .iter()
         .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
@@ -331,7 +302,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
     };
 
     let mut runner = CampaignRunner::new().parallel(parallel).setup(&setup);
-    if get(kv, "progress", 0u8) == 1 {
+    if get(kv, "progress", 0u8)? == 1 {
         runner = runner.progress_sink(std::sync::Arc::new(StderrProgress));
     }
     let logs = runner
@@ -391,7 +362,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_export(kv: &HashMap<String, String>) -> Result<(), String> {
     let arch = arch_with_overrides(kv)?;
-    let suite = workloads_of(kv)?;
+    let suite = workloads(kv)?;
     let name = kv
         .get("workload")
         .cloned()
@@ -400,7 +371,7 @@ fn cmd_export(kv: &HashMap<String, String>) -> Result<(), String> {
         .iter()
         .find(|w| w.id.0.contains(name.as_str()))
         .ok_or_else(|| format!("no workload matching `{name}`"))?;
-    let trace = workload.generate(get(kv, "instrs", 20_000), get(kv, "seed", 1));
+    let trace = workload.generate(get(kv, "instrs", 20_000)?, get(kv, "seed", 1)?);
     let result = OooCore::new(arch)
         .run(&trace)
         .map_err(|e| format!("simulation failed: {e}"))?;
@@ -437,8 +408,7 @@ fn cmd_import(kv: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_verify(kv: &HashMap<String, String>) -> Result<(), String> {
     use archexplorer::dse::verify::{run_verify, VerifyConfig};
     use archexplorer::sim::InjectedFault;
-    let mut workloads = workloads_of(kv)?;
-    workloads.truncate(get(kv, "workloads", usize::MAX).max(1));
+    let mut workloads = workloads(kv)?;
     if let Some(name) = kv.get("workload") {
         workloads.retain(|w| w.id.0.contains(name.as_str()));
         if workloads.is_empty() {
@@ -446,15 +416,15 @@ fn cmd_verify(kv: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     let mut cfg = VerifyConfig {
-        designs: get(kv, "designs", 16usize).max(1),
-        seed: get(kv, "seed", 1u64),
-        window: get(kv, "window", 2_000usize),
+        designs: get(kv, "designs", 16usize)?.max(1),
+        seed: get(kv, "seed", 1u64)?,
+        window: get(kv, "window", 2_000usize)?,
         workloads,
         fault: kv
             .get("inject")
             .map(|s| InjectedFault::parse(s))
             .transpose()?,
-        metamorphic: get(kv, "metamorphic", 1u8) == 1,
+        metamorphic: get(kv, "metamorphic", 1u8)? == 1,
         only_design: None,
     };
     // Table 4 overrides (`Rob=32 Iq=80 ...`) pin a single design — the

@@ -8,6 +8,7 @@
 //! instead of being copy-pasted per binary.
 
 use archx_dse::campaign::Method;
+use archx_workloads::{parse_suite, suite_named, suite_prefix, Workload};
 use std::collections::HashMap;
 
 /// Collects `key=value` arguments into a map; other arguments are ignored
@@ -110,10 +111,36 @@ pub fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode)
     Ok((rest, mode))
 }
 
-/// Typed `key=value` lookup with a default for missing or unparsable
-/// values.
-pub fn get<T: std::str::FromStr>(kv: &HashMap<String, String>, key: &str, default: T) -> T {
-    kv.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// Typed `key=value` lookup: `default` when the key is absent, and an
+/// error naming the key and its value when the value does not parse.
+pub fn get<T: std::str::FromStr>(
+    kv: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match kv.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            format!(
+                "bad value `{v}` for `{key}` (expected {})",
+                std::any::type_name::<T>()
+            )
+        }),
+    }
+}
+
+/// The workloads a command runs on: the suite file `suite_file=PATH`, else
+/// the bundled `suite=spec06|spec17` (default `spec06`), cut to its first
+/// `workloads=N` entries by [`suite_prefix`].
+pub fn workloads(kv: &HashMap<String, String>) -> Result<Vec<Workload>, String> {
+    let suite = match kv.get("suite_file") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            parse_suite(&text).map_err(|e| e.to_string())?
+        }
+        None => suite_named(kv.get("suite").map_or("spec06", String::as_str))?,
+    };
+    Ok(suite_prefix(suite, get(kv, "workloads", usize::MAX)?))
 }
 
 /// Parses one method name (`archexplorer`, `random`, `adaboost`,
@@ -179,9 +206,52 @@ mod tests {
         assert_eq!(kv.get("budget").map(String::as_str), Some("120"));
         assert_eq!(kv.get("suite").map(String::as_str), Some("spec17"));
         assert!(!kv.contains_key("campaign"));
-        assert_eq!(get(&kv, "budget", 0u64), 120);
-        assert_eq!(get(&kv, "missing", 7u64), 7);
-        assert_eq!(get(&kv, "suite", 0u64), 0, "unparsable falls to default");
+        assert_eq!(get(&kv, "budget", 0u64), Ok(120));
+        assert_eq!(get(&kv, "missing", 7u64), Ok(7));
+    }
+
+    #[test]
+    fn malformed_numbers_are_errors_naming_key_and_value() {
+        let kv = parse_kv(&strings(&["instrs=2k", "budget=-1", "seed=", "frac=0.5x"]));
+        let err = get(&kv, "instrs", 20_000usize).expect_err("2k is not a number");
+        assert!(err.contains("`instrs`") && err.contains("`2k`"), "{err}");
+        assert!(get(&kv, "budget", 240u64).is_err(), "budgets are unsigned");
+        assert!(
+            get(&kv, "seed", 1u64).is_err(),
+            "an empty value is not the default"
+        );
+        assert!(get(&kv, "frac", 0.95f64).is_err());
+        assert_eq!(get(&kv, "frac", String::new()), Ok("0.5x".to_string()));
+    }
+
+    #[test]
+    fn workloads_resolve_suite_names_and_prefixes() {
+        let kv = parse_kv(&strings(&["suite=spec17", "workloads=3"]));
+        let suite = workloads(&kv).expect("bundled suite");
+        assert_eq!(suite.len(), 3);
+        assert!(suite.iter().all(|w| w.weight == 1.0 / 3.0));
+        assert_eq!(workloads(&parse_kv(&[])).expect("default").len(), 12);
+        let err = workloads(&parse_kv(&strings(&["suite=spec18"]))).expect_err("unknown");
+        assert!(err.contains("`spec18`"), "{err}");
+        let err = workloads(&parse_kv(&strings(&["workloads=two"]))).expect_err("malformed");
+        assert!(
+            err.contains("`workloads`") && err.contains("`two`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn suite_files_keep_their_weights() {
+        let path = std::env::temp_dir().join(format!("archx-suite-{}.ini", std::process::id()));
+        std::fs::write(&path, "[a]\nweight = 3\n[b]\nweight = 1\n[c]\nweight = 4\n")
+            .expect("writes");
+        let file = format!("suite_file={}", path.display());
+        let two = workloads(&parse_kv(&strings(&[&file, "workloads=2"]))).expect("parses");
+        let all = workloads(&parse_kv(&strings(&[&file]))).expect("parses");
+        std::fs::remove_file(&path).ok();
+        let weights = |s: &[Workload]| s.iter().map(|w| w.weight).collect::<Vec<_>>();
+        assert_eq!(weights(&two), [0.75, 0.25]);
+        assert_eq!(weights(&all), [0.375, 0.125, 0.5]);
     }
 
     #[test]

@@ -25,17 +25,19 @@
 //! use archexplorer::prelude::*;
 //!
 //! // Analyse one design's bottlenecks on a small workload sample.
-//! let session = Session::builder()
-//!     .suite(Suite::Spec06)
-//!     .instrs_per_workload(2_000)
-//!     .workload_limit(2)
-//!     .threads(1)
-//!     .build();
-//! let report = session.analyze(&MicroArch::baseline()).expect("analysis");
-//! println!("{}", report.render());
+//! let template = Evaluator::builder(suite_prefix(spec06_suite(), 2))
+//!     .window(2_000)
+//!     .threads(1);
+//! let eval = template
+//!     .clone()
+//!     .build()
+//!     .evaluate_with(&MicroArch::baseline(), Analysis::NewDeg)
+//!     .expect("evaluates");
+//! println!("{}", eval.report.expect("analysis requested").render());
 //!
 //! // Explore: bottleneck-removal-driven DSE under a simulation budget.
-//! let log = session.explore(Method::ArchExplorer, 12).expect("exploration");
+//! let space = DesignSpace::table4();
+//! let log = run_method_on(Method::ArchExplorer, &space, &template.build(), 12, 1);
 //! assert!(!log.records.is_empty());
 //!
 //! // Everything above was measured: dump the telemetry report.
@@ -50,16 +52,12 @@ pub use archx_telemetry as telemetry;
 pub use archx_workloads as workloads;
 
 pub mod cliopt;
-pub mod session;
-
-pub use session::{Session, SessionBuilder, SessionError, Suite};
 
 /// The most commonly used items across all layers.
 pub mod prelude {
-    pub use crate::session::{Session, SessionBuilder, SessionError, Suite};
     pub use archx_deg::prelude::*;
     pub use archx_dse::prelude::*;
     pub use archx_power::{PowerModel, PpaResult};
     pub use archx_sim::{MicroArch, OooCore, SimStats};
-    pub use archx_workloads::{spec06_suite, spec17_suite, Workload};
+    pub use archx_workloads::{spec06_suite, spec17_suite, suite_named, suite_prefix, Workload};
 }

@@ -690,6 +690,16 @@ mod tests {
     }
 
     #[test]
+    fn zero_budget_explores_nothing_and_spends_nothing() {
+        for method in Method::ALL {
+            let evaluator = template(800, 1).build();
+            let log = run_method_on(method, &DesignSpace::table4(), &evaluator, 0, 1);
+            assert!(log.records.is_empty(), "{method} explored at budget 0");
+            assert_eq!(evaluator.sim_count(), 0, "{method} simulated at budget 0");
+        }
+    }
+
+    #[test]
     fn run_method_on_reports_exact_sim_count_through_sink() {
         let evaluator = template(1_000, 1).build(); // 2 workloads => 2 sims per design
         let sink = Arc::new(telemetry::CollectingSink::new());

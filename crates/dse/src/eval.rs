@@ -224,8 +224,8 @@ impl Default for ProgressMeta {
 /// Every knob is named and defaults are explicit. Traces are resolved
 /// through a shared [`TraceStore`], so concurrent evaluators over the same
 /// `(workload, seed, window)` key share one synthesised trace zero-copy.
-/// Campaigns and sessions hold a builder as a template and clone it for
-/// every evaluator they build, so all of a campaign's runs see the same
+/// Campaigns hold a builder as a template and clone it for every
+/// evaluator they build, so all of a campaign's runs see the same
 /// configuration.
 ///
 /// ```
@@ -280,8 +280,8 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// The trace seed set by [`Self::seed`]. Campaigns and sessions that
-    /// search with one seed use it as their search seed too.
+    /// The trace seed set by [`Self::seed`]. Campaigns that search with
+    /// one seed use it as their search seed too.
     pub fn trace_seed(&self) -> u64 {
         self.seed
     }

@@ -29,6 +29,6 @@ pub mod suite_file;
 pub use generator::{BranchProfile, MemoryProfile, OpMix, WorkloadSpec};
 pub use phases::{Phase, PhasedWorkload};
 pub use simpoints::{estimate, pick_simpoints, Simpoint};
-pub use spec::{spec06_suite, spec17_suite, Workload, WorkloadId};
+pub use spec::{spec06_suite, spec17_suite, suite_named, suite_prefix, Workload, WorkloadId};
 pub use store::{TraceKey, TraceStore};
 pub use suite_file::parse_suite;

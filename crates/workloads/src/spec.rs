@@ -463,6 +463,37 @@ pub fn spec17_suite() -> Vec<Workload> {
     v
 }
 
+/// The bundled suite called `name`: `spec06` ([`spec06_suite`]) or
+/// `spec17` ([`spec17_suite`]).
+pub fn suite_named(name: &str) -> Result<Vec<Workload>, String> {
+    match name {
+        "spec06" => Ok(spec06_suite()),
+        "spec17" => Ok(spec17_suite()),
+        other => Err(format!(
+            "unknown suite `{other}` (expected spec06 or spec17)"
+        )),
+    }
+}
+
+/// Keeps the first `n` workloads of `suite` (at least one) and
+/// renormalises their weights over that prefix, keeping their ratios.
+///
+/// Equal weights become exactly `1.0 / k` rather than `w / (k * w)`:
+/// the two can differ in the last bit, and every evaluation of a
+/// bundled suite (or a prefix of one) is pinned to the uniform weights
+/// callers have always set. A prefix whose weights already sum to
+/// exactly one, such as a whole suite, comes back bit for bit.
+pub fn suite_prefix(mut suite: Vec<Workload>, n: usize) -> Vec<Workload> {
+    suite.truncate(n.max(1));
+    let uniform = suite.windows(2).all(|p| p[0].weight == p[1].weight);
+    let total: f64 = suite.iter().map(|w| w.weight).sum();
+    let w = 1.0 / suite.len() as f64;
+    for x in &mut suite {
+        x.weight = if uniform { w } else { x.weight / total };
+    }
+    suite
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +511,41 @@ mod tests {
         }
         let sum06: f64 = s06.iter().map(|w| w.weight).sum();
         assert!((sum06 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn prefixes_renormalise_kept_weights() {
+        let unit = spec06_suite()[0];
+        let weighted = |ws: &[f64]| -> Vec<Workload> {
+            ws.iter()
+                .map(|&weight| Workload { weight, ..unit })
+                .collect()
+        };
+        // Ratios survive the cut: 3:1 over the kept pair, whatever was
+        // dropped after it.
+        let kept = suite_prefix(weighted(&[3.0, 1.0, 4.0]), 2);
+        assert_eq!(kept.len(), 2);
+        assert_eq!((kept[0].weight, kept[1].weight), (0.75, 0.25));
+        // Equal weights become exactly 1/k.
+        let s06 = suite_prefix(spec06_suite(), 4);
+        assert_eq!(s06.len(), 4);
+        assert!(s06.iter().all(|w| w.weight == 0.25));
+        // Whole suites come back bit for bit; a zero limit keeps one.
+        for full in [spec06_suite(), spec17_suite(), weighted(&[0.75, 0.25])] {
+            assert_eq!(suite_prefix(full.clone(), usize::MAX), full);
+        }
+        assert_eq!(suite_prefix(spec06_suite(), 0)[0].weight, 1.0);
+    }
+
+    #[test]
+    fn spec17_prefix_selectable_by_name() {
+        let s17 = suite_prefix(suite_named("spec17").expect("bundled"), 3);
+        assert_eq!(s17.len(), 3);
+        for (kept, full) in s17.iter().zip(spec17_suite()) {
+            assert_eq!(kept.id, full.id);
+            assert_eq!(kept.weight, 1.0 / 3.0);
+        }
+        assert!(suite_named("spec18").is_err());
     }
 
     #[test]

@@ -8,18 +8,19 @@
 use archexplorer::prelude::*;
 
 fn main() {
-    // A small, fast session: 4 SPEC06-like workloads, 10 K instructions
-    // each (the paper analyses the first 100 K of each Simpoint; scale up
-    // with `instrs_per_workload` if you have the time).
-    let session = Session::builder()
-        .suite(Suite::Spec06)
-        .workload_limit(4)
-        .instrs_per_workload(10_000)
-        .build();
+    // A small, fast setup: 4 SPEC06-like workloads, 10 K instructions each
+    // (the paper analyses the first 100 K of each Simpoint; scale up the
+    // window if you have the time).
+    let template = Evaluator::builder(suite_prefix(spec06_suite(), 4)).window(10_000);
 
-    // 1. Evaluate the paper's Table 1 baseline.
+    // 1. Evaluate the paper's Table 1 baseline, with its critical-path
+    //    bottleneck analysis.
     let baseline = MicroArch::baseline();
-    let eval = session.evaluate(&baseline).expect("baseline evaluates");
+    let eval = template
+        .clone()
+        .build()
+        .evaluate_with(&baseline, Analysis::NewDeg)
+        .expect("baseline evaluates");
     println!("baseline: {baseline}");
     println!(
         "  IPC {:.4}  power {:.4} W  area {:.4} mm²  PPA trade-off {:.4}\n",
@@ -30,13 +31,18 @@ fn main() {
     );
 
     // 2. Where do the cycles go? (critical-path bottleneck report)
-    let report = session.analyze(&baseline).expect("analysis");
+    let report = eval.report.as_ref().expect("analysis requested");
     println!("{}", report.render());
 
-    // 3. Let ArchExplorer reassign hardware for 120 simulations.
-    let log = session
-        .explore(Method::ArchExplorer, 120)
-        .expect("exploration");
+    // 3. Let ArchExplorer reassign hardware for 120 simulations, on a
+    //    fresh evaluator so the search pays for every simulation.
+    let log = run_method_on(
+        Method::ArchExplorer,
+        &DesignSpace::table4(),
+        &template.build(),
+        120,
+        1,
+    );
     let best = log.best_tradeoff().expect("explored at least one design");
     println!(
         "after {} designs ({} simulations):",

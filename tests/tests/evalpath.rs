@@ -9,18 +9,9 @@ use archexplorer::prelude::*;
 use archexplorer::workloads::TraceStore;
 use std::sync::Arc;
 
-fn suite(n: usize) -> Vec<Workload> {
-    let mut s: Vec<_> = spec06_suite().into_iter().take(n).collect();
-    let w = 1.0 / s.len() as f64;
-    for wl in &mut s {
-        wl.weight = w;
-    }
-    s
-}
-
 #[test]
 fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
-    let suite = suite(3);
+    let suite = suite_prefix(spec06_suite(), 3);
     // 4 concurrent jobs, every run over the same trace seed: the store
     // must miss exactly once per workload — the first-arriving job
     // synthesises, the other three share the Arc.
@@ -59,7 +50,10 @@ fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
 
 #[test]
 fn campaign_store_results_match_per_run_generation() {
-    let template = Evaluator::builder(suite(2)).window(500).seed(5).threads(1);
+    let template = Evaluator::builder(suite_prefix(spec06_suite(), 2))
+        .window(500)
+        .seed(5)
+        .threads(1);
     let specs = [RunSpec {
         method: Method::Random,
         seed: 5,
@@ -83,7 +77,7 @@ fn campaign_store_results_match_per_run_generation() {
 
 #[test]
 fn warm_thread_evaluation_matches_a_fresh_thread() {
-    let suite = suite(2);
+    let suite = suite_prefix(spec06_suite(), 2);
     let evaluate = |window: usize, arch: &MicroArch, analysis: Analysis| {
         Evaluator::builder(suite.clone())
             .window(window)
@@ -121,7 +115,7 @@ fn retry_window_is_a_prefix_of_the_shared_trace() {
     // must equal a direct synthesis of the shorter window (the generator
     // is prefix-stable), so retries never regenerate.
     let store = TraceStore::new();
-    let w = &suite(1)[0];
+    let w = &suite_prefix(spec06_suite(), 1)[0];
     let full = store.get(w, 2_000, 7);
     let half = store.get(w, 1_000, 7);
     assert_eq!(&full[..1_000], &half[..]);

@@ -4,18 +4,24 @@
 
 use archexplorer::prelude::*;
 
-fn session() -> Session {
-    Session::builder()
-        .suite(Suite::Spec06)
-        .workload_limit(3)
-        .instrs_per_workload(6_000)
+fn evaluator() -> Evaluator {
+    Evaluator::builder(suite_prefix(spec06_suite(), 3))
+        .window(6_000)
         .threads(1)
         .build()
 }
 
+fn analyze(evaluator: &Evaluator, arch: &MicroArch) -> BottleneckReport {
+    evaluator
+        .evaluate_with(arch, Analysis::NewDeg)
+        .expect("evaluates")
+        .report
+        .expect("analysis requested")
+}
+
 #[test]
 fn starving_the_rob_raises_its_contribution() {
-    let s = session();
+    let s = evaluator();
     let mut small = MicroArch::baseline();
     small.rob_entries = 32;
     small.int_rf = 300;
@@ -23,14 +29,8 @@ fn starving_the_rob_raises_its_contribution() {
     small.iq_entries = 80;
     let mut big = small;
     big.rob_entries = 256;
-    let c_small = s
-        .analyze(&small)
-        .expect("analysis")
-        .contribution(BottleneckSource::Rob);
-    let c_big = s
-        .analyze(&big)
-        .expect("analysis")
-        .contribution(BottleneckSource::Rob);
+    let c_small = analyze(&s, &small).contribution(BottleneckSource::Rob);
+    let c_big = analyze(&s, &big).contribution(BottleneckSource::Rob);
     assert!(
         c_small > c_big,
         "ROB contribution must fall when the ROB grows: {c_small} vs {c_big}"
@@ -41,7 +41,6 @@ fn starving_the_rob_raises_its_contribution() {
 fn branch_hostile_code_raises_bpred() {
     // A branch-hostile workload (sjeng-like) must show a larger BPred
     // contribution than a predictable floating-point one (namd-like).
-    use archexplorer::dse::eval::{Analysis, Evaluator};
     let suite = spec06_suite();
     let pick = |name: &str| {
         suite
@@ -75,10 +74,10 @@ fn branch_hostile_code_raises_bpred() {
 fn contribution_guides_growth_usefully() {
     // Growing the top-ranked reassignable resource should help performance
     // more than growing the bottom-ranked one.
-    let s = session();
-    let space = s.space().clone();
+    let s = evaluator();
+    let space = DesignSpace::table4();
     let arch = space.snap(&MicroArch::tiny());
-    let report = s.analyze(&arch).expect("analysis");
+    let report = analyze(&s, &arch);
     let base_ipc = s.evaluate(&arch).expect("evaluates").ppa.ipc;
 
     let ranked: Vec<_> = report
