@@ -1,7 +1,8 @@
 //! **BENCH_campaign**: wall-clock of a fixed tiny campaign (all 6 methods
-//! × 2 seeds) executed serially versus fanned out across campaign jobs,
-//! plus a hard determinism check — the parallel run must produce logs
-//! identical to the serial run or the binary exits non-zero.
+//! × 2 seeds) executed serially on one thread versus fanned out across
+//! `jobs` campaign jobs sharing `jobs` threads, plus a hard determinism
+//! check — the parallel run must produce logs identical to the serial run
+//! or the binary exits non-zero.
 //!
 //! ```sh
 //! cargo run -p archx-bench --release --bin bench_campaign \
@@ -13,7 +14,7 @@
 //! around 1.0 — the point of the record is the identical-results check and
 //! an honest timing baseline; the speedup shows on multi-core CI.
 
-use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig, RunSpec};
+use archexplorer::dse::campaign::{CampaignRunner, RunSpec};
 use archexplorer::prelude::*;
 use archexplorer::telemetry::JsonValue;
 use archx_bench::Args;
@@ -50,11 +51,8 @@ fn main() -> ExitCode {
 
     let t1 = Instant::now();
     let parallel = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs,
-            total_threads: jobs,
-        })
-        .run_specs(&specs, &space, &template, sim_budget)
+        .jobs(jobs)
+        .run_specs(&specs, &space, &template.clone().threads(jobs), sim_budget)
         .expect("parallel campaign");
     let parallel_s = t1.elapsed().as_secs_f64();
 

@@ -13,8 +13,10 @@
 //! Defaults keep the run in minutes; raise `budget`/`instrs` for smoother
 //! curves (the paper runs to 3000+ simulations of 100 K-instruction
 //! Simpoint windows). `jobs=N` fans the (method × seed) runs out across N
-//! worker threads under a global governor (`threads=` caps the total);
-//! results are identical to `jobs=1`, only wall-clock changes.
+//! job threads inside a `threads=` budget (default: the larger of `jobs`
+//! and the host's threads) that the runs share, lending idle threads to
+//! each other's workload simulations; results are identical to `jobs=1`,
+//! only wall-clock changes.
 
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
@@ -25,7 +27,7 @@ fn run_suite_sweep(
     template: &EvaluatorBuilder,
     sim_budget: u64,
     seeds: &[u64],
-    parallel: &ParallelConfig,
+    jobs: usize,
 ) {
     let space = DesignSpace::table4();
     let methods = [
@@ -40,12 +42,12 @@ fn run_suite_sweep(
         "[{name}] sweeping {} methods x {sim_budget} sims x {} seeds ({} jobs)...",
         methods.len(),
         seeds.len(),
-        parallel.jobs
+        jobs
     );
     let r = RefPoint::default();
     let step = (sim_budget / 12).max(1);
     let curves = CampaignRunner::new()
-        .parallel(*parallel)
+        .jobs(jobs)
         .sweep(&methods, &space, template, sim_budget, seeds, &r, step)
         .expect("seeds sample aligned budget grids");
     let mut header = vec!["sims".to_string()];
@@ -72,7 +74,7 @@ Figure 12 [{name}] over seeds {seeds:?}: mean ± std hypervolume
     );
 }
 
-fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, parallel: &ParallelConfig) {
+fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, jobs: usize) {
     let space = DesignSpace::table4();
     let methods = [
         Method::ArchExplorer,
@@ -85,10 +87,10 @@ fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, parallel:
     eprintln!(
         "[{name}] running {} methods x {sim_budget} sims ({} jobs)...",
         methods.len(),
-        parallel.jobs
+        jobs
     );
     let campaign = CampaignRunner::new()
-        .parallel(*parallel)
+        .jobs(jobs)
         .run(&methods, &space, template, sim_budget)
         .expect("no per-run setup to fail");
 
@@ -146,12 +148,7 @@ fn main() {
     let which = args.get_str("suite", "both");
     let n_seeds = args.get_usize("seeds", 1);
     let jobs = args.get_usize("jobs", 1).max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: args
-            .get_usize("threads", jobs.max(archexplorer::dse::default_threads()))
-            .max(1),
-    };
+    let threads = args.get_usize("threads", jobs.max(archexplorer::dse::default_threads()));
 
     let names = match which.as_str() {
         "both" => vec!["spec06", "spec17"],
@@ -163,12 +160,13 @@ fn main() {
         // Every run's traces use the first search seed.
         let template = Evaluator::builder(suite_prefix(suite, limit))
             .window(instrs)
-            .seed(seed);
+            .seed(seed)
+            .threads(threads);
         let name = name.to_uppercase();
         if n_seeds > 1 {
-            run_suite_sweep(&name, &template, sim_budget, &seeds, &parallel);
+            run_suite_sweep(&name, &template, sim_budget, &seeds, jobs);
         } else {
-            run_suite(&name, &template, sim_budget, &parallel);
+            run_suite(&name, &template, sim_budget, jobs);
         }
     }
     archx_bench::emit::emit_telemetry(&telemetry_mode);

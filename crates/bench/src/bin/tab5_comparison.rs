@@ -13,9 +13,10 @@
 //!     [jobs=N] [threads=N]
 //! ```
 //!
-//! `jobs=N` runs the four methods concurrently under a global thread
-//! governor (`threads=` caps the total); the table is identical to
-//! `jobs=1`.
+//! `jobs=N` runs the four methods concurrently inside a `threads=`
+//! budget (default: the larger of `jobs` and the host's threads) that
+//! the runs share, lending idle threads to each other's workload
+//! simulations; the table is identical to `jobs=1`.
 
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
@@ -30,12 +31,7 @@ fn main() {
     // Target = this fraction of the best final hypervolume across methods.
     let target_frac = args.get_f64("target_frac", 0.95);
     let jobs = args.get_usize("jobs", 1).max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: args
-            .get_usize("threads", jobs.max(archexplorer::dse::default_threads()))
-            .max(1),
-    };
+    let threads = args.get_usize("threads", jobs.max(archexplorer::dse::default_threads()));
 
     for (name, suite) in [("SPEC06", spec06_suite()), ("SPEC17", spec17_suite())] {
         let suite = suite_prefix(suite, limit);
@@ -49,9 +45,12 @@ fn main() {
             "[{name}] running {} methods x {sim_budget} sims ({jobs} jobs)...",
             methods.len()
         );
-        let template = Evaluator::builder(suite).window(instrs).seed(seed);
+        let template = Evaluator::builder(suite)
+            .window(instrs)
+            .seed(seed)
+            .threads(threads);
         let campaign = CampaignRunner::new()
-            .parallel(parallel)
+            .jobs(jobs)
             .run(&methods, &DesignSpace::table4(), &template, sim_budget)
             .expect("no per-run setup to fail");
 

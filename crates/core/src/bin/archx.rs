@@ -1,8 +1,8 @@
 //! `archx` — command-line front end for the ArchExplorer reproduction.
 //!
 //! ```text
-//! archx analyze  [suite=spec06|spec17] [workloads=N] [instrs=N] [PARAM=V ...]
-//! archx explore  [method=NAME] [budget=N] [suite=...] [instrs=N] [seed=N]
+//! archx analyze  [suite=spec06|spec17] [workloads=N] [instrs=N] [--threads N] [PARAM=V ...]
+//! archx explore  [method=NAME] [budget=N] [suite=...] [instrs=N] [seed=N] [--threads N]
 //!                [--journal PATH | --resume PATH] [--cycle-budget N] [--retries N]
 //! archx campaign [methods=all|paper|a,b,...] [seeds=1,2,...] [budget=N] [suite=...]
 //!                [--jobs N] [--threads N] [--journal DIR | --resume DIR]
@@ -21,15 +21,17 @@
 //! `eval/deg/build`, counters like `dse/iteration`, latency histograms) is
 //! printed to stderr as JSON or an aligned table.
 //!
-//! `campaign` runs a full (methods × seeds) comparison. `--jobs N` fans
-//! runs out across N worker threads under a global thread governor
-//! (`--threads` caps the *total* threads shared by campaign jobs and each
-//! run's workload workers), with results printed in deterministic
-//! (method, seed) order whatever the completion order. `--journal DIR`
-//! gives every run its own journal file inside DIR
-//! (`<method>-seed<seed>.jsonl`), and `--resume DIR` warm-starts each run
-//! from its own file — safe under concurrency because no two runs share a
-//! journal.
+//! `--threads N` sets the threads an evaluation's workload simulations
+//! run on; results are identical for any N. `campaign` runs a full
+//! (methods × seeds) comparison, and there `--threads N` is the total
+//! budget: `--jobs N` fans runs out across up to N job threads, each one
+//! thread of the budget, and the rest of the budget is lent as workload
+//! workers to whichever runs are going (a finished job lends its thread
+//! too). Results print in deterministic (method, seed) order whatever
+//! the completion order. `--journal DIR` gives every run its own journal
+//! file inside DIR (`<method>-seed<seed>.jsonl`), and `--resume DIR`
+//! warm-starts each run from its own file — safe under concurrency
+//! because no two runs share a journal.
 //!
 //! `explore` campaigns are crash-safe: `--journal PATH` appends every
 //! evaluation (design, per-workload PPA, analysis, outcome) to a JSONL
@@ -78,10 +80,13 @@ fn arch_with_overrides(kv: &HashMap<String, String>) -> Result<MicroArch, String
 
 fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     let arch = arch_with_overrides(kv)?;
-    let evaluator = Evaluator::builder(workloads(kv)?)
-        .window(get(kv, "instrs", 20_000)?)
-        .seed(get(kv, "seed", 1)?)
-        .build();
+    let evaluator = evaluator_template(
+        kv,
+        workloads(kv)?,
+        get(kv, "instrs", 20_000)?,
+        get(kv, "seed", 1)?,
+    )?
+    .build();
     println!("design: {arch}");
     let e = evaluator
         .evaluate_with(&arch, Analysis::NewDeg)
@@ -98,9 +103,9 @@ fn cmd_analyze(kv: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The evaluator `explore` and `campaign` search on: `suite` at an
-/// `instrs` window with trace seed `seed`, plus the `cycle_budget=` and
-/// `retries=` robustness settings.
+/// The evaluator `analyze`, `explore` and `campaign` run on: `suite` at
+/// an `instrs` window with trace seed `seed`, plus the `threads=`,
+/// `cycle_budget=` and `retries=` settings.
 fn evaluator_template(
     kv: &HashMap<String, String>,
     suite: Vec<Workload>,
@@ -111,9 +116,17 @@ fn evaluator_template(
         .get("cycle_budget")
         .map(|_| get(kv, "cycle_budget", 0))
         .transpose()?;
+    // Every campaign job holds one thread of the budget, so `jobs=N`
+    // alone raises the default budget to N.
+    let threads = get(
+        kv,
+        "threads",
+        get(kv, "jobs", 1usize)?.max(archexplorer::dse::default_threads()),
+    )?;
     Ok(Evaluator::builder(suite)
         .window(instrs)
         .seed(seed)
+        .threads(threads)
         .limits(SimLimits {
             cycle_budget,
             ..SimLimits::default()
@@ -229,16 +242,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         None => vec![get(kv, "seed", 1u64)?],
     };
     let suite = workloads(kv)?;
-    let jobs = get(kv, "jobs", 1usize)?.max(1);
-    let parallel = ParallelConfig {
-        jobs,
-        total_threads: get(
-            kv,
-            "threads",
-            jobs.max(archexplorer::dse::default_threads()),
-        )?
-        .max(1),
-    };
+    let jobs = get(kv, "jobs", 1usize)?;
     let sim_budget = get(kv, "budget", 240u64)?;
     // Every run shares one trace seed: `trace_seed=` when given, else the
     // first search seed.
@@ -248,15 +252,14 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         .iter()
         .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
         .collect();
+    let threads = template.thread_budget();
     eprintln!(
-        "campaign: {} method(s) x {} seed(s) = {} run(s); {} job(s) under a \
-         {}-thread governor; budget {} sims/run",
+        "campaign: {} method(s) x {} seed(s) = {} run(s); {} job(s) sharing \
+         {threads} thread(s); budget {sim_budget} sims/run",
         methods.len(),
         seeds.len(),
         specs.len(),
-        parallel.jobs,
-        parallel.total_threads,
-        sim_budget
+        jobs.clamp(1, threads),
     );
 
     if kv.contains_key("journal") && kv.contains_key("resume") {
@@ -301,7 +304,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         Ok(())
     };
 
-    let mut runner = CampaignRunner::new().parallel(parallel).setup(&setup);
+    let mut runner = CampaignRunner::new().jobs(jobs).setup(&setup);
     if get(kv, "progress", 0u8)? == 1 {
         runner = runner.progress_sink(std::sync::Arc::new(StderrProgress));
     }

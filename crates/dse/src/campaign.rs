@@ -7,9 +7,14 @@
 //! Every (method × seed) run owns a fresh evaluator, built from a clone of
 //! the campaign's [`EvaluatorBuilder`] template, and a deterministic RNG,
 //! so runs are embarrassingly parallel. [`CampaignRunner`] fans runs
-//! out across `jobs` worker threads under a shared [`ThreadGovernor`]
-//! bounding *total* threads (campaign jobs plus each evaluator's workload
-//! workers never exceed `total_threads`), with:
+//! out across `jobs` job threads, all inside one thread budget: the
+//! template's [`EvaluatorBuilder::threads`]. Each job thread is one unit
+//! of that budget; the rest is a shared count of lendable threads that
+//! evaluators borrow workload workers from, without blocking, for the
+//! length of one evaluation attempt. A job thread that finds no run left
+//! adds itself to the count, so the campaign's last runs get the threads
+//! of the finished ones. Campaign jobs plus workload workers never exceed
+//! the budget, with:
 //!
 //! * **deterministic ordering** — logs land in pre-allocated slots in the
 //!   caller's (method, seed) order regardless of completion order, and a
@@ -30,7 +35,6 @@ use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
 use crate::eval::{Evaluator, EvaluatorBuilder, RunLog};
-use crate::governor::ThreadGovernor;
 use crate::lock;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
@@ -171,25 +175,30 @@ pub fn run_journal_path(dir: &Path, spec: &RunSpec) -> PathBuf {
     dir.join(format!("{slug}-seed{}.jsonl", spec.seed))
 }
 
-/// Campaign-level parallelism: how many runs execute concurrently and the
-/// global thread budget they share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Concurrent (method × seed) runs. 1 = sequential.
-    pub jobs: usize,
-    /// Global thread budget shared by campaign jobs *and* their
-    /// evaluators' workload workers (see [`ThreadGovernor`]). When it is
-    /// smaller than `jobs`, runs are throttled rather than oversubscribed.
-    pub total_threads: usize,
+/// Splits a `threads` budget between job threads and lendable workers:
+/// `min(jobs, runs, threads)` job threads (at least 1), and the rest of
+/// the budget as the initial count of lendable threads.
+pub(crate) fn thread_split(threads: usize, jobs: usize, runs: usize) -> (usize, usize) {
+    let threads = threads.max(1);
+    let jobs = jobs.min(runs).clamp(1, threads);
+    (jobs, threads - jobs)
 }
 
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            jobs: 1,
-            total_threads: crate::default_threads(),
-        }
-    }
+/// Takes up to `want` threads from the lendable count without blocking
+/// and returns how many it got, `min(want, available)`.
+pub(crate) fn borrow_threads(lendable: &AtomicUsize, want: usize) -> usize {
+    let mut got = 0;
+    // The closure always returns `Some`, so the update cannot fail.
+    let _ = lendable.fetch_update(Ordering::AcqRel, Ordering::Acquire, |available| {
+        got = want.min(available);
+        Some(available - got)
+    });
+    got
+}
+
+/// Returns `n` borrowed (or freed) threads to the lendable count.
+pub(crate) fn return_threads(lendable: &AtomicUsize, n: usize) {
+    lendable.fetch_add(n, Ordering::AcqRel);
 }
 
 /// Campaign execution and aggregation errors.
@@ -243,11 +252,12 @@ impl std::error::Error for CampaignError {}
 /// run on a campaign worker thread.
 pub type RunSetup<'a> = dyn Fn(&RunSpec, &Evaluator) -> Result<(), String> + Sync + 'a;
 
-/// Executes campaign runs — sequentially or fanned out across a worker
-/// pool under a global [`ThreadGovernor`] — with deterministic result
-/// ordering, per-run progress labelling, and optional per-run setup.
+/// Executes campaign runs — sequentially or fanned out across job
+/// threads inside the template's thread budget — with deterministic
+/// result ordering, per-run progress labelling, and optional per-run
+/// setup.
 pub struct CampaignRunner<'a> {
-    parallel: ParallelConfig,
+    jobs: usize,
     sink: Option<Arc<dyn ProgressSink>>,
     setup: Option<&'a RunSetup<'a>>,
 }
@@ -255,7 +265,7 @@ pub struct CampaignRunner<'a> {
 impl fmt::Debug for CampaignRunner<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CampaignRunner")
-            .field("parallel", &self.parallel)
+            .field("jobs", &self.jobs)
             .field("sink", &self.sink.is_some())
             .field("setup", &self.setup.is_some())
             .finish()
@@ -269,18 +279,20 @@ impl Default for CampaignRunner<'_> {
 }
 
 impl<'a> CampaignRunner<'a> {
-    /// A sequential runner (jobs = 1, default thread budget).
+    /// A sequential runner (jobs = 1).
     pub fn new() -> Self {
         CampaignRunner {
-            parallel: ParallelConfig::default(),
+            jobs: 1,
             sink: None,
             setup: None,
         }
     }
 
-    /// Sets campaign-level parallelism.
-    pub fn parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
+    /// Runs up to `jobs` (method × seed) runs at once. The template's
+    /// [`EvaluatorBuilder::threads`] bounds the job count too: each job
+    /// thread is one thread of that budget.
+    pub fn jobs(mut self, jobs: usize) -> Self {
+        self.jobs = jobs;
         self
     }
 
@@ -299,12 +311,12 @@ impl<'a> CampaignRunner<'a> {
 
     /// Runs every spec for `sim_budget` simulations and returns logs **in
     /// spec order**, regardless of completion order. Each run builds a
-    /// fresh evaluator from a clone of `template` (under the campaign's
-    /// thread governor) and searches with the spec's seed. Workload traces
-    /// use the template's seed for every run, so multi-seed campaigns
-    /// measure search variance, not workload variance, and share one
-    /// synthesised trace per `(workload, window)` through the template's
-    /// trace store — even at `jobs > 1`.
+    /// fresh evaluator from a clone of `template` (borrowing workload
+    /// workers from the campaign's lendable threads) and searches with
+    /// the spec's seed. Workload traces use the template's seed for every
+    /// run, so multi-seed campaigns measure search variance, not workload
+    /// variance, and share one synthesised trace per `(workload, window)`
+    /// through the template's trace store — even at `jobs > 1`.
     pub fn run_specs(
         &self,
         specs: &[RunSpec],
@@ -313,15 +325,12 @@ impl<'a> CampaignRunner<'a> {
         sim_budget: u64,
     ) -> Result<Vec<RunLog>, CampaignError> {
         let _timed = telemetry::span("dse/campaign");
-        let governor = ThreadGovernor::new(self.parallel.total_threads);
-        let jobs = self.parallel.jobs.clamp(1, specs.len().max(1));
+        let (jobs, lendable) = thread_split(template.thread_budget(), self.jobs, specs.len());
+        let lendable = Arc::new(AtomicUsize::new(lendable));
         telemetry::counter_add("campaign/runs", specs.len() as u64);
 
         let run_one = |spec: &RunSpec| -> Result<RunLog, CampaignError> {
-            // A campaign job works under one base governor permit; the
-            // evaluator claims extra worker permits only when free.
-            let _base = governor.acquire();
-            let evaluator = template.clone().governor(Arc::clone(&governor)).build();
+            let evaluator = template.clone().lend_from(Arc::clone(&lendable)).build();
             if let Some(sink) = &self.sink {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
@@ -357,6 +366,9 @@ impl<'a> CampaignRunner<'a> {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= specs.len() {
+                        // No run left: lend this thread to the runs still
+                        // going.
+                        return_threads(&lendable, 1);
                         break;
                     }
                     *lock(&slots[i]) = Some(run_one(&specs[i]));
@@ -680,13 +692,109 @@ mod tests {
             .run_specs(&specs, &space, &template, 8)
             .expect("runs");
         let parallel = CampaignRunner::new()
-            .parallel(ParallelConfig {
-                jobs: 3,
-                total_threads: 3,
-            })
-            .run_specs(&specs, &space, &template, 8)
+            .jobs(3)
+            .run_specs(&specs, &space, &template.threads(3), 8)
             .expect("runs");
         assert_eq!(serial, parallel, "jobs must not change results or order");
+    }
+
+    #[test]
+    fn lending_grants_min_of_want_and_available() {
+        let lendable = AtomicUsize::new(3);
+        assert_eq!(borrow_threads(&lendable, 2), 2);
+        assert_eq!(borrow_threads(&lendable, 5), 1, "grants only what is left");
+        assert_eq!(
+            borrow_threads(&lendable, 1),
+            0,
+            "an empty count grants zero without blocking"
+        );
+        assert_eq!(lendable.load(Ordering::SeqCst), 0);
+        return_threads(&lendable, 2);
+        assert_eq!(borrow_threads(&lendable, 0), 0);
+        return_threads(&lendable, 1);
+        assert_eq!(lendable.load(Ordering::SeqCst), 3, "every thread came back");
+    }
+
+    #[test]
+    fn lending_stays_within_the_budget_under_an_8_thread_race() {
+        const BUDGET: usize = 3;
+        let lendable = AtomicUsize::new(BUDGET);
+        let held = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (lendable, held, peak) = (&lendable, &held, &peak);
+                s.spawn(move || {
+                    for round in 0..500 {
+                        let want = (t + round) % 4;
+                        let got = borrow_threads(lendable, want);
+                        assert!(got <= want);
+                        peak.fetch_max(
+                            held.fetch_add(got, Ordering::SeqCst) + got,
+                            Ordering::SeqCst,
+                        );
+                        // A wrapped (negative) count would read as huge.
+                        assert!(lendable.load(Ordering::SeqCst) <= BUDGET);
+                        std::thread::yield_now();
+                        held.fetch_sub(got, Ordering::SeqCst);
+                        return_threads(lendable, got);
+                    }
+                });
+            }
+        });
+        assert!(
+            peak.load(Ordering::SeqCst) <= BUDGET,
+            "borrowers never hold more than the budget"
+        );
+        assert_eq!(
+            lendable.load(Ordering::SeqCst),
+            BUDGET,
+            "every thread came back"
+        );
+    }
+
+    #[test]
+    fn lending_split_clamps_zero_threads_to_one_and_jobs_to_threads() {
+        assert_eq!(template(500, 1).threads(0).thread_budget(), 1);
+        assert_eq!(thread_split(0, 1, 6), (1, 0));
+        assert_eq!(thread_split(2, 4, 6), (2, 0), "jobs are clamped to threads");
+        assert_eq!(thread_split(4, 2, 6), (2, 2));
+        assert_eq!(
+            thread_split(4, 4, 2),
+            (2, 2),
+            "no more job threads than runs"
+        );
+        assert_eq!(thread_split(4, 0, 6), (1, 3));
+    }
+
+    #[test]
+    fn lending_campaign_lends_idle_threads_to_running_evaluators() {
+        // threads=4 at jobs=2 leaves two threads to lend, and each run's
+        // evaluator wants one worker beyond its own for its two
+        // workloads. A static split (two threads per job) lends nothing.
+        let lent = || {
+            archx_telemetry::global()
+                .report()
+                .counter("eval/lent_workers")
+        };
+        let specs: Vec<RunSpec> = [1u64, 2]
+            .iter()
+            .map(|&seed| RunSpec {
+                method: Method::Random,
+                seed,
+            })
+            .collect();
+        let before = lent();
+        CampaignRunner::new()
+            .jobs(2)
+            .run_specs(
+                &specs,
+                &DesignSpace::table4(),
+                &template(500, 1).threads(4),
+                8,
+            )
+            .expect("runs");
+        assert!(lent() > before, "no worker was lent");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! per workload regardless of outcome, so a budget always terminates even
 //! if every sampled design fails.
 
-use crate::governor::ThreadGovernor;
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::lock;
 use crate::pareto::{ExplorationSet, RefPoint};
@@ -35,7 +34,7 @@ use archx_workloads::{TraceStore, Workload};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -245,7 +244,7 @@ pub struct EvaluatorBuilder {
     seed: u64,
     trace_store: Option<Arc<TraceStore>>,
     threads: usize,
-    governor: Option<Arc<ThreadGovernor>>,
+    lendable: Option<Arc<AtomicUsize>>,
     limits: SimLimits,
     max_retries: u32,
 }
@@ -253,7 +252,7 @@ pub struct EvaluatorBuilder {
 impl EvaluatorBuilder {
     /// Starts a builder over `workloads` with the defaults the paper
     /// experiments use: a 20 000-instruction window, trace seed 1, all
-    /// available threads, no governor, default [`SimLimits`], one retry,
+    /// available threads, default [`SimLimits`], one retry,
     /// and the process-global trace store.
     pub fn new(workloads: Vec<Workload>) -> Self {
         EvaluatorBuilder {
@@ -262,7 +261,7 @@ impl EvaluatorBuilder {
             seed: 1,
             trace_store: None,
             threads: crate::default_threads(),
-            governor: None,
+            lendable: None,
             limits: SimLimits::default(),
             max_retries: 1,
         }
@@ -295,22 +294,26 @@ impl EvaluatorBuilder {
         self
     }
 
-    /// Worker threads (1 = fully serial; results are identical either
-    /// way).
+    /// Worker threads (clamped to at least 1; 1 = fully serial; results
+    /// are identical either way). A campaign reads this as its total
+    /// thread budget, shared by its job threads and the workers they
+    /// lend each other.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Subjects this evaluator's worker threads to a shared
-    /// [`ThreadGovernor`]. The thread the caller evaluates on is always
-    /// allowed to work (campaign jobs hold a base permit for it); workers
-    /// *beyond* it are only spawned when the governor has spare permits,
-    /// so nested campaign parallelism never oversubscribes the configured
-    /// total. Results are identical with or without a governor — worker
-    /// count never changes what an evaluation produces.
-    pub fn governor(mut self, governor: Arc<ThreadGovernor>) -> Self {
-        self.governor = Some(governor);
+    /// The thread count set by [`Self::threads`].
+    pub fn thread_budget(&self) -> usize {
+        self.threads
+    }
+
+    /// Makes the built evaluator borrow its extra workload workers from
+    /// `lendable`, a campaign's count of idle threads, instead of
+    /// spawning up to [`Self::threads`] on its own. The caller's thread
+    /// always works; workers beyond it run only while the count has them.
+    pub(crate) fn lend_from(mut self, lendable: Arc<AtomicUsize>) -> Self {
+        self.lendable = Some(lendable);
         self
     }
 
@@ -344,7 +347,7 @@ impl EvaluatorBuilder {
             trace_seed: self.seed,
             power: PowerModel::default(),
             threads: self.threads,
-            governor: self.governor,
+            lendable: self.lendable,
             limits: self.limits,
             max_retries: self.max_retries,
             sims: AtomicU64::new(0),
@@ -366,7 +369,7 @@ pub struct Evaluator {
     trace_seed: u64,
     power: PowerModel,
     threads: usize,
-    governor: Option<Arc<ThreadGovernor>>,
+    lendable: Option<Arc<AtomicUsize>>,
     limits: SimLimits,
     max_retries: u32,
     sims: AtomicU64,
@@ -682,18 +685,21 @@ impl Evaluator {
             })
         };
 
-        // Worker count: the configured thread cap, further bounded by the
-        // governor when one is attached. The caller's thread always counts
-        // as one worker's worth of capacity (campaign jobs hold a base
-        // permit for it); only the extras need spare permits.
+        // Worker count: the configured thread cap, or, inside a campaign,
+        // the caller's own thread plus whatever idle threads the campaign
+        // can lend right now.
         let want = self.threads.min(n);
-        let extra_lease = match &self.governor {
-            Some(governor) if want > 1 => Some(governor.try_acquire(want - 1)),
-            _ => None,
+        let lent = match &self.lendable {
+            Some(lendable) if want > 1 => crate::campaign::borrow_threads(lendable, want - 1),
+            _ => 0,
         };
-        let workers = match &extra_lease {
-            Some(lease) => 1 + lease.held(),
-            None => want,
+        if lent > 0 {
+            telemetry::counter_add("eval/lent_workers", lent as u64);
+        }
+        let workers = if self.lendable.is_some() {
+            1 + lent
+        } else {
+            want
         };
 
         let mut outcomes: Vec<Option<AttemptOutcome>> = (0..n).map(|_| None).collect();
@@ -726,7 +732,9 @@ impl Evaluator {
                 *out = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
             }
         }
-        drop(extra_lease);
+        if let Some(lendable) = &self.lendable {
+            crate::campaign::return_threads(lendable, lent);
+        }
 
         let mut per_workload = Vec::with_capacity(n);
         let mut reports: Vec<Option<BottleneckReport>> = Vec::with_capacity(n);

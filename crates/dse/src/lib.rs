@@ -43,7 +43,6 @@ pub mod archexplorer;
 pub mod baselines;
 pub mod campaign;
 pub mod eval;
-pub mod governor;
 pub mod journal;
 pub mod ml;
 pub mod pareto;
@@ -72,14 +71,13 @@ pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
     pub use crate::campaign::{
         aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
-        Method, ParallelConfig, RunSpec, SweepCurve,
+        Method, RunSpec, SweepCurve,
     };
     pub use crate::default_threads;
     pub use crate::eval::{
         Analysis, DesignEval, EvalError, EvalFailure, EvalRecord, Evaluator, EvaluatorBuilder,
         QuarantineEntry, RunLog, SimLimits,
     };
-    pub use crate::governor::{Lease, ThreadGovernor};
     pub use crate::journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
     pub use crate::pareto::{dominates, hypervolume, pareto_front, ExplorationSet, RefPoint};
     pub use crate::space::{DesignSpace, ParamId};
@@ -89,13 +87,12 @@ pub mod prelude {
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
 pub use campaign::{
     aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
-    Method, ParallelConfig, RunSpec, SweepCurve,
+    Method, RunSpec, SweepCurve,
 };
 pub use eval::{
     Analysis, DesignEval, EvalError, EvalFailure, Evaluator, EvaluatorBuilder, QuarantineEntry,
     RunLog, SimLimits,
 };
-pub use governor::{Lease, ThreadGovernor};
 pub use journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
 pub use pareto::{hypervolume, pareto_front, ExplorationSet, RefPoint};
 pub use space::{DesignSpace, ParamId};

@@ -1,11 +1,12 @@
 //! Determinism of the parallel campaign layer: fanning runs out across
-//! worker threads under the global thread governor must not change a
+//! job threads that share the template's thread budget, and lend idle
+//! threads to each other's workload simulations, must not change a
 //! single byte of any result — logs, sweep curves, and journal contents
 //! are identical to a sequential run, and per-run journal files let
 //! `--journal`/`--resume` work when runs execute concurrently.
 
 use archexplorer::dse::campaign::{
-    run_journal_path, run_method_on, CampaignRunner, Method, ParallelConfig, RunSpec,
+    run_journal_path, run_method_on, CampaignRunner, Method, RunSpec,
 };
 use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
@@ -13,7 +14,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Two equally weighted workloads at a 700-instruction window, trace seed
-/// 1, serial evaluation.
+/// 1, serial evaluation. Parallel runs raise `threads` to their job count
+/// so the jobs really run at once.
 fn template() -> EvaluatorBuilder {
     let mut s: Vec<_> = spec06_suite().into_iter().take(2).collect();
     for w in &mut s {
@@ -38,8 +40,8 @@ fn all_method_specs(seeds: &[u64]) -> Vec<RunSpec> {
 
 #[test]
 fn parallel_campaign_is_byte_identical_to_sequential() {
-    // The acceptance campaign: every method x 2 seeds, jobs=4 under a
-    // 4-thread governor, compared against the sequential run.
+    // The acceptance campaign: every method x 2 seeds, jobs=4 in a
+    // 4-thread budget, compared against the sequential run.
     let template = template();
     let budget = 8;
     let space = DesignSpace::table4();
@@ -49,11 +51,8 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
         .run_specs(&specs, &space, &template, budget)
         .expect("serial campaign");
     let parallel = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 4,
-            total_threads: 4,
-        })
-        .run_specs(&specs, &space, &template, budget)
+        .jobs(4)
+        .run_specs(&specs, &space, &template.clone().threads(4), budget)
         .expect("parallel campaign");
 
     assert_eq!(serial.len(), specs.len());
@@ -89,11 +88,8 @@ fn campaign_runs_equal_run_method_on_a_fresh_evaluator_from_the_template() {
         .collect();
     for jobs in [1, 3] {
         let logs = CampaignRunner::new()
-            .parallel(ParallelConfig {
-                jobs,
-                total_threads: jobs,
-            })
-            .run_specs(&specs, &space, &template, budget)
+            .jobs(jobs)
+            .run_specs(&specs, &space, &template.clone().threads(jobs), budget)
             .expect("campaign");
         for ((spec, run), want) in specs.iter().zip(&logs).zip(&direct) {
             assert_eq!(run, want, "{} at jobs={jobs}", spec.label());
@@ -114,11 +110,16 @@ fn parallel_sweep_matches_sequential_sweep() {
         .sweep(&methods, &space, &template, budget, &seeds, &r, 4)
         .expect("serial sweep");
     let parallel = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 3,
-            total_threads: 3,
-        })
-        .sweep(&methods, &space, &template, budget, &seeds, &r, 4)
+        .jobs(3)
+        .sweep(
+            &methods,
+            &space,
+            &template.clone().threads(3),
+            budget,
+            &seeds,
+            &r,
+            4,
+        )
         .expect("parallel sweep");
     assert_eq!(serial, parallel, "sweep curves must not depend on jobs");
     assert_eq!(serial.len(), methods.len());
@@ -132,12 +133,9 @@ fn labelled_progress_attributes_interleaved_events_to_their_run() {
     let specs = all_method_specs(&[5]);
     let sink = Arc::new(archexplorer::telemetry::CollectingSink::new());
     CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 3,
-            total_threads: 3,
-        })
+        .jobs(3)
         .progress_sink(sink.clone())
-        .run_specs(&specs, &space, &template, budget)
+        .run_specs(&specs, &space, &template.clone().threads(3), budget)
         .expect("campaign");
     let events = sink.events();
     assert!(!events.is_empty(), "runs must emit progress");
@@ -177,12 +175,9 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
         Ok(())
     };
     let logs = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 4,
-            total_threads: 4,
-        })
+        .jobs(4)
         .setup(&setup)
-        .run_specs(&specs, &space, &template, budget)
+        .run_specs(&specs, &space, &template.clone().threads(4), budget)
         .expect("journaled campaign");
 
     // Every run journaled to its own file.
@@ -221,12 +216,9 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
         Ok(())
     };
     let resumed = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 4,
-            total_threads: 4,
-        })
+        .jobs(4)
         .setup(&resume_setup)
-        .run_specs(&specs, &space, &template, budget)
+        .run_specs(&specs, &space, &template.clone().threads(4), budget)
         .expect("resumed campaign");
     for ((spec, full), res) in specs.iter().zip(&logs).zip(&resumed) {
         assert_eq!(

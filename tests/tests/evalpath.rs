@@ -4,7 +4,7 @@
 //! it, and the per-thread reused buffers never change an evaluation
 //! result.
 
-use archexplorer::dse::campaign::{CampaignRunner, ParallelConfig, RunSpec};
+use archexplorer::dse::campaign::{CampaignRunner, RunSpec};
 use archexplorer::prelude::*;
 use archexplorer::workloads::TraceStore;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
         .window(600)
         .seed(1)
         .trace_store(Arc::clone(&store))
-        .threads(1);
+        .threads(4);
     let specs: Vec<RunSpec> = [1u64, 2, 3, 4]
         .iter()
         .map(|&seed| RunSpec {
@@ -29,10 +29,7 @@ fn campaign_at_jobs_4_synthesises_each_trace_exactly_once() {
         })
         .collect();
     let logs = CampaignRunner::new()
-        .parallel(ParallelConfig {
-            jobs: 4,
-            total_threads: 4,
-        })
+        .jobs(4)
         .run_specs(&specs, &DesignSpace::table4(), &template, 8)
         .expect("campaign runs");
     assert_eq!(logs.len(), specs.len());
