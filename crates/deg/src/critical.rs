@@ -48,13 +48,22 @@ impl CriticalPath {
 /// and pipeline edges over virtual hops, so attribution loses as little of
 /// the runtime as possible. A vertex takes an in-edge only when it
 /// strictly raises this value.
-pub(crate) type Value = (u64, u64, u64);
+pub(crate) type Value<T = u64> = (T, T, T);
 
 /// The value reached by following an edge of `kind` spanning `w` cycles
 /// from a vertex of value `from`.
-pub(crate) fn extend(from: Value, kind: EdgeKind, w: Cycle) -> Value {
-    let cost = if kind.has_cost() { w } else { 0 };
-    let attr = if kind == EdgeKind::Virtual { 0 } else { w };
+/// Generic over the integer type so that the fused pass can run it in 32
+/// bits.
+pub(crate) fn extend<T>(from: Value<T>, kind: EdgeKind, w: T) -> Value<T>
+where
+    T: Copy + Default + std::ops::Add<Output = T>,
+{
+    let cost = if kind.has_cost() { w } else { T::default() };
+    let attr = if kind == EdgeKind::Virtual {
+        T::default()
+    } else {
+        w
+    };
     (from.0 + cost, from.1 + w, from.2 + attr)
 }
 
