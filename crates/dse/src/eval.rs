@@ -609,9 +609,10 @@ impl Evaluator {
         }
     }
 
-    /// Simulates one trace into `result` and runs the requested analysis.
-    /// A panic midway leaves `result` half-written, which is harmless: the
-    /// next run overwrites it.
+    /// Simulates one trace and runs the requested analysis. Without one,
+    /// only the statistics are computed ([`OooCore::stats`]); with one, the
+    /// full record is written into `result`. A panic midway leaves `result`
+    /// half-written, which is harmless: the next run overwrites it.
     fn run_workload(
         &self,
         arch: &MicroArch,
@@ -626,13 +627,18 @@ impl Evaluator {
             core = core.with_cycle_budget(budget);
         }
         let started = Instant::now();
-        {
+        let stats = {
             let _timed = telemetry::span("simulate");
-            core.run_into(trace, result).map_err(EvalError::Sim)?;
-        }
+            if analysis == Analysis::None {
+                core.stats(trace).map_err(EvalError::Sim)?
+            } else {
+                core.run_into(trace, result).map_err(EvalError::Sim)?;
+                result.stats.clone()
+            }
+        };
         telemetry::record("eval/sim_latency_us", started.elapsed().as_micros() as u64);
-        result.stats.export_telemetry();
-        let ppa = self.power.evaluate(arch, &result.stats);
+        stats.export_telemetry();
+        let ppa = self.power.evaluate(arch, &stats);
         if !(ppa.ipc.is_finite() && ppa.power_w.is_finite() && ppa.area_mm2.is_finite()) {
             return Err(EvalError::NonFinitePpa);
         }
@@ -775,12 +781,17 @@ impl Evaluator {
     }
 
     /// Records a successful uncached evaluation on the frontier and, when a
-    /// progress sink is attached, publishes one progress event to it.
+    /// progress sink is attached, publishes one progress event to it. The
+    /// hypervolume is computed only for a sink, but every point is kept,
+    /// so a sink attached later sees the whole frontier.
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
             let mut meta = lock(&self.progress);
             meta.set.push(ppa);
             meta.best_tradeoff = meta.best_tradeoff.max(ppa.tradeoff());
+            let Some(sink) = meta.sink.clone() else {
+                return;
+            };
             let event = Progress {
                 source: meta.source.clone(),
                 sims_done: self.sim_count(),
@@ -788,11 +799,9 @@ impl Evaluator {
                 hypervolume: meta.set.hypervolume(&RefPoint::default()),
                 best_tradeoff: meta.best_tradeoff,
             };
-            (event, meta.sink.clone())
+            (event, sink)
         };
-        if let Some(sink) = sink {
-            sink.on_progress(&event);
-        }
+        sink.on_progress(&event);
     }
 }
 
@@ -964,6 +973,38 @@ mod tests {
         assert_eq!(events[0].sim_budget, 4);
         assert!(events[0].hypervolume > 0.0);
         assert!(events[0].best_tradeoff > 0.0);
+    }
+
+    #[test]
+    fn a_sink_attached_late_sees_every_earlier_point() {
+        let ev = small_eval();
+        let mut narrow = MicroArch::baseline();
+        narrow.width = 2;
+        let designs = [MicroArch::tiny(), MicroArch::baseline(), narrow];
+        let mut ppas = Vec::new();
+        for arch in &designs[..2] {
+            ppas.push(ev.evaluate(arch).expect("evaluates").ppa);
+        }
+        let sink = Arc::new(telemetry::CollectingSink::new());
+        ev.set_progress_sink(sink.clone());
+        ppas.push(ev.evaluate(&designs[2]).expect("evaluates").ppa);
+
+        let events = sink.events();
+        assert_eq!(events.len(), 1, "no event before the sink was attached");
+        let mut all = ExplorationSet::new();
+        let mut last = ExplorationSet::new();
+        for &ppa in &ppas {
+            all.push(ppa);
+        }
+        last.push(ppas[2]);
+        let r = RefPoint::default();
+        assert_eq!(events[0].hypervolume, all.hypervolume(&r));
+        assert!(
+            events[0].hypervolume > last.hypervolume(&r),
+            "the earlier points widen the frontier"
+        );
+        let best = ppas.iter().map(|p| p.tradeoff()).fold(0.0, f64::max);
+        assert_eq!(events[0].best_tradeoff, best);
     }
 
     #[test]

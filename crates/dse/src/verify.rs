@@ -16,6 +16,10 @@
 //!   the property the evaluator's retry-on-halved-window path depends on;
 //! * **determinism** — re-running a design yields bit-identical traces.
 //!
+//! Every chain also checks that a stats-only simulation
+//! ([`OooCore::stats`], the path of evaluations without analysis) returns
+//! exactly the statistics of the recorded run.
+//!
 //! Failures shrink (halve the window, walk the design back toward the
 //! baseline parameter by parameter while the failure persists) and are
 //! reported as [`Violation`]s with a ready-to-run `archx verify` repro
@@ -231,6 +235,18 @@ fn check_chain(
         archx_sim::SimError::InvariantViolation { check, .. } => (check.clone(), e.to_string()),
         other => (format!("sim/{}", other.tag()), e.to_string()),
     })?;
+    // The unrecorded loop must reach the same statistics (an unchecked
+    // core: a checked one records anyway).
+    let stats = OooCore::new(*design).stats(&trace);
+    if stats.as_ref() != Ok(&result.stats) {
+        return Err((
+            "sim/stats-only".to_string(),
+            format!(
+                "stats-only run gave {stats:?}, recorded run {:?}",
+                result.stats
+            ),
+        ));
+    }
     let path = validate_exactness(&result).map_err(|v| (v.check.to_string(), v.detail))?;
     // Bottleneck attribution must be a normalised distribution over the
     // critical path.
@@ -270,8 +286,9 @@ fn check_chain(
             "naive stall accounting diverged between two runs".to_string(),
         ));
     }
-    // Per-cycle invariants + oracle hierarchy + bottleneck + naive checks.
-    Ok(4)
+    // Per-cycle invariants + stats-only identity + oracle hierarchy +
+    // bottleneck + naive checks.
+    Ok(5)
 }
 
 fn cycles_on_stream(design: &MicroArch) -> Result<u64, CheckFailure> {

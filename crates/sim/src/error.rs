@@ -131,14 +131,6 @@ impl From<crate::extern_trace::ParseTraceError> for SimError {
     }
 }
 
-impl From<crate::o3pipeview::O3ParseError> for SimError {
-    fn from(e: crate::o3pipeview::O3ParseError) -> Self {
-        SimError::TraceError {
-            message: e.to_string(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

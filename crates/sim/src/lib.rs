@@ -46,7 +46,6 @@ pub mod error;
 pub mod extern_trace;
 pub mod fu;
 pub mod isa;
-pub mod o3pipeview;
 pub mod pipeline;
 pub mod resources;
 pub mod stats;

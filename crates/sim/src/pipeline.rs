@@ -59,6 +59,9 @@ pub(crate) struct Aux {
     pub(crate) reg_class: Option<RegClass>,
     pub(crate) src_producers: [InstrIdx; 2],
     pub(crate) fu_blocked: bool,
+    /// A load caught by an older store's late address (store-set
+    /// speculation only); each load is caught at most once.
+    pub(crate) mem_dep_violated: bool,
     /// Earliest commit cycle gate (memory-order violation replays).
     pub(crate) commit_gate: Cycle,
 }
@@ -74,6 +77,7 @@ impl Default for Aux {
             reg_class: None,
             src_producers: [NO_INSTR; 2],
             fu_blocked: false,
+            mem_dep_violated: false,
             commit_gate: 0,
         }
     }
@@ -212,16 +216,59 @@ impl OooCore {
         instructions: &[Instruction],
         out: &mut SimResult,
     ) -> Result<(), SimError> {
+        out.stats = self.simulate(instructions, &mut out.trace, true)?;
+        Ok(())
+    }
+
+    /// Simulates the instruction stream and returns only its aggregate
+    /// statistics: equal to `run(instructions)?.stats`, without writing the
+    /// per-instruction record that only the DEG analyses read (event
+    /// times, rename stalls, data dependences and releasers). Evaluations
+    /// that need nothing but PPA run this.
+    ///
+    /// In the `CheckedCore` mode the record is written anyway, because the
+    /// invariant checker audits it.
+    ///
+    /// # Errors
+    ///
+    /// The same errors, with the same payloads, as [`OooCore::run`].
+    ///
+    /// ```
+    /// use archx_sim::{MicroArch, OooCore, trace_gen};
+    /// let core = OooCore::new(MicroArch::baseline());
+    /// let trace = trace_gen::mixed_workload(1_000, 3);
+    /// let stats = core.stats(&trace).expect("simulates");
+    /// assert_eq!(stats, core.run(&trace).expect("simulates").stats);
+    /// ```
+    pub fn stats(&self, instructions: &[Instruction]) -> Result<SimStats, SimError> {
+        let record = self.checks.is_some();
+        self.simulate(instructions, &mut PipelineTrace::default(), record)
+    }
+
+    /// The simulation loop behind [`OooCore::run_into`] and
+    /// [`OooCore::stats`]. With `record` set it overwrites `trace` with the
+    /// per-instruction record; without, `trace` is left empty and the loop
+    /// keeps only the timing it reads itself: the fetch and decode cycles
+    /// travel with the fetch and decode queue entries, a load's issue cycle
+    /// is its memory cycle minus one, and `Aux` flags loads already caught
+    /// by a memory-order violation.
+    fn simulate(
+        &self,
+        instructions: &[Instruction],
+        trace: &mut PipelineTrace,
+        record: bool,
+    ) -> Result<SimStats, SimError> {
         let n = instructions.len() as InstrIdx;
         let arch = &self.arch;
         let store_sets = arch.mem_dep == MemDepPolicy::StoreSets;
-        out.trace.reset(instructions.len());
+        let recorded = if record { instructions.len() } else { 0 };
+        trace.reset(recorded);
         let PipelineTrace {
             events,
             stall_ends,
             stalls,
             ..
-        } = &mut out.trace;
+        } = trace;
         let mut stats = SimStats::default();
         // Filled at rename, in program order.
         let mut aux: Vec<Aux> = Vec::with_capacity(instructions.len());
@@ -232,8 +279,8 @@ impl OooCore {
         let mut m = vec![UNSET; instructions.len()];
         // True data dependences, appended at issue (out of program order);
         // instruction j's are `dep_buf[deps_at[j].0..deps_at[j].1]`.
-        let mut dep_buf: Vec<InstrIdx> = Vec::with_capacity(instructions.len());
-        let mut deps_at = vec![(0u32, 0u32); instructions.len()];
+        let mut dep_buf: Vec<InstrIdx> = Vec::with_capacity(recorded);
+        let mut deps_at = vec![(0u32, 0u32); recorded];
         let mut wakeup = Wakeup::new(instructions.len());
         let mut lose_wakeup = matches!(
             self.checks,
@@ -274,8 +321,9 @@ impl OooCore {
         // Last instruction moved into the fetch queue in an earlier cycle
         // (the releaser for fetch-bandwidth waits).
         let mut last_moved: Option<InstrIdx> = None;
-        let mut ftq: VecDeque<InstrIdx> = VecDeque::new();
-        let mut decq: VecDeque<InstrIdx> = VecDeque::new();
+        // Fetch and decode queues: (instruction, cycle it entered).
+        let mut ftq: VecDeque<(InstrIdx, Cycle)> = VecDeque::new();
+        let mut decq: VecDeque<(InstrIdx, Cycle)> = VecDeque::new();
         let decq_cap = (2 * arch.width) as usize;
 
         // Back end.
@@ -311,7 +359,9 @@ impl OooCore {
             {
                 let j = commit_head;
                 let ja = &mut aux[j as usize];
-                events[j as usize].c = cycle;
+                if record {
+                    events[j as usize].c = cycle;
+                }
                 rob.release(ja.rob, j);
                 if ja.lq != u32::MAX {
                     lq_pool.release(ja.lq, j);
@@ -438,42 +488,44 @@ impl OooCore {
                 completions.insert(cycle, p_at);
                 p[j as usize] = p_at;
                 m[j as usize] = m_at;
-                let je = &mut events[j as usize];
-                je.i = issue_at;
-                je.m = m_at;
-                je.p = p_at;
-                je.dcache_miss = dcache_miss;
-                if aux[j as usize].fu_blocked && last_user != NO_INSTR {
-                    je.fu_wait = Some(FuWait {
-                        fu: fu_kind,
-                        releaser: last_user,
-                    });
-                }
-                // True data dependencies: producers still in flight at
-                // dispatch time.
-                let dp_at = je.dp;
-                let first = dep_buf.len();
-                for prod in aux[j as usize].src_producers {
-                    if prod != NO_INSTR
-                        && p[prod as usize] > dp_at
-                        && !dep_buf[first..].contains(&prod)
-                    {
-                        dep_buf.push(prod);
+                if record {
+                    let je = &mut events[j as usize];
+                    je.i = issue_at;
+                    je.m = m_at;
+                    je.p = p_at;
+                    je.dcache_miss = dcache_miss;
+                    if aux[j as usize].fu_blocked && last_user != NO_INSTR {
+                        je.fu_wait = Some(FuWait {
+                            fu: fu_kind,
+                            releaser: last_user,
+                        });
                     }
-                }
-                if instr.op == OpClass::Load {
-                    // A store whose address generation gated this load —
-                    // only a dependence when the load actually waited for
-                    // it (speculative loads that issued before the store's
-                    // address resolved have no such edge).
-                    for &s in sq_live.iter().take_while(|&&s| s < j) {
-                        let ms = m[s as usize];
-                        if ms <= issue_at && ms > dp_at && !dep_buf[first..].contains(&s) {
-                            dep_buf.push(s);
+                    // True data dependencies: producers still in flight at
+                    // dispatch time.
+                    let dp_at = je.dp;
+                    let first = dep_buf.len();
+                    for prod in aux[j as usize].src_producers {
+                        if prod != NO_INSTR
+                            && p[prod as usize] > dp_at
+                            && !dep_buf[first..].contains(&prod)
+                        {
+                            dep_buf.push(prod);
                         }
                     }
+                    if instr.op == OpClass::Load {
+                        // A store whose address generation gated this load
+                        // — only a dependence when the load actually waited
+                        // for it (speculative loads that issued before the
+                        // store's address resolved have no such edge).
+                        for &s in sq_live.iter().take_while(|&&s| s < j) {
+                            let ms = m[s as usize];
+                            if ms <= issue_at && ms > dp_at && !dep_buf[first..].contains(&s) {
+                                dep_buf.push(s);
+                            }
+                        }
+                    }
+                    deps_at[j as usize] = (first as u32, dep_buf.len() as u32);
                 }
-                deps_at[j as usize] = (first as u32, dep_buf.len() as u32);
 
                 // Track issued loads; detect memory-order violations when
                 // a store's address resolves after a younger load issued.
@@ -482,15 +534,18 @@ impl OooCore {
                 } else if store_sets && instr.op == OpClass::Store {
                     let store_addr = instr.mem_addr;
                     for &ld in lq_live.iter() {
+                        let la = &mut aux[ld as usize];
+                        // A load issued at `m - 1`, the cycle before its access.
                         if ld > j
                             && instructions[ld as usize].mem_addr == store_addr
-                            && events[ld as usize].i < m_at
-                            && events[ld as usize].mem_dep_violation.is_none()
+                            && m[ld as usize] - 1 < m_at
+                            && !la.mem_dep_violated
                         {
-                            events[ld as usize].mem_dep_violation = Some(j);
-                            let gate = m_at + MEMDEP_REPLAY;
-                            let la = &mut aux[ld as usize];
-                            la.commit_gate = la.commit_gate.max(gate);
+                            la.mem_dep_violated = true;
+                            la.commit_gate = la.commit_gate.max(m_at + MEMDEP_REPLAY);
+                            if record {
+                                events[ld as usize].mem_dep_violation = Some(j);
+                            }
                             let c = conflict.entry(instructions[ld as usize].pc).or_insert(0);
                             *c = (*c + 2).min(3);
                             stats.mem_dep_violations += 1;
@@ -512,8 +567,8 @@ impl OooCore {
             // ---- Rename (in-order, up to width per cycle) ----
             let mut renamed_now = 0;
             while renamed_now < arch.width {
-                let Some(&j) = decq.front() else { break };
-                if events[j as usize].dc >= cycle {
+                let Some(&(j, dc)) = decq.front() else { break };
+                if dc >= cycle {
                     break;
                 }
                 let instr = &instructions[j as usize];
@@ -599,28 +654,31 @@ impl OooCore {
                     }
                 }
 
-                // Record which stalls this instruction experienced, with the
-                // scoreboard's releaser for the entry that unblocked it.
-                for &kind in blocked_kinds.as_slice() {
-                    let releaser = match kind {
-                        ResourceKind::Rob => rob_grant.last_releaser,
-                        ResourceKind::Iq => iq_grant.last_releaser,
-                        ResourceKind::Lq => lq_grant.map_or(NO_INSTR, |g| g.last_releaser),
-                        ResourceKind::Sq => sq_grant.map_or(NO_INSTR, |g| g.last_releaser),
-                        ResourceKind::IntRf | ResourceKind::FpRf => {
-                            reg_grant.map_or(NO_INSTR, |g| g.last_releaser)
-                        }
-                    };
-                    stalls.push(RenameStall {
-                        resource: kind,
-                        releaser,
-                    });
+                if record {
+                    // Record which stalls this instruction experienced, with
+                    // the scoreboard's releaser for the entry that unblocked
+                    // it.
+                    for &kind in blocked_kinds.as_slice() {
+                        let releaser = match kind {
+                            ResourceKind::Rob => rob_grant.last_releaser,
+                            ResourceKind::Iq => iq_grant.last_releaser,
+                            ResourceKind::Lq => lq_grant.map_or(NO_INSTR, |g| g.last_releaser),
+                            ResourceKind::Sq => sq_grant.map_or(NO_INSTR, |g| g.last_releaser),
+                            ResourceKind::IntRf | ResourceKind::FpRf => {
+                                reg_grant.map_or(NO_INSTR, |g| g.last_releaser)
+                            }
+                        };
+                        stalls.push(RenameStall {
+                            resource: kind,
+                            releaser,
+                        });
+                    }
+                    stall_ends.push(stalls.len() as u32);
+                    let je = &mut events[j as usize];
+                    je.r = cycle;
+                    je.dp = cycle + 1;
                 }
-                stall_ends.push(stalls.len() as u32);
                 blocked_kinds = KindList::default();
-                let je = &mut events[j as usize];
-                je.r = cycle;
-                je.dp = cycle + 1;
 
                 if need_sq {
                     sq_live.push_back(j);
@@ -632,13 +690,15 @@ impl OooCore {
             // ---- Decode ----
             let mut decoded_now = 0;
             while decoded_now < arch.width && decq.len() < decq_cap {
-                let Some(&j) = ftq.front() else { break };
-                if events[j as usize].f >= cycle {
+                let Some(&(j, f)) = ftq.front() else { break };
+                if f >= cycle {
                     break;
                 }
-                events[j as usize].dc = cycle;
+                if record {
+                    events[j as usize].dc = cycle;
+                }
                 ftq.pop_front();
-                decq.push_back(j);
+                decq.push_back((j, cycle));
                 decoded_now += 1;
             }
 
@@ -657,13 +717,15 @@ impl OooCore {
                     break;
                 }
                 let j = b.next;
-                events[j as usize].f = cycle;
-                if events[j as usize].f2 < cycle {
-                    // The instruction sat ready in the fetch buffer: a
-                    // front-end bandwidth / fetch-queue wait.
-                    events[j as usize].fetch_bw_from = bw_releaser;
+                if record {
+                    events[j as usize].f = cycle;
+                    if b.ready_at < cycle {
+                        // The instruction sat ready in the fetch buffer: a
+                        // front-end bandwidth / fetch-queue wait.
+                        events[j as usize].fetch_bw_from = bw_releaser;
+                    }
                 }
-                ftq.push_back(j);
+                ftq.push_back((j, cycle));
                 moved_this_cycle = Some(j);
                 b.next += 1;
                 fetched_now += 1;
@@ -727,26 +789,29 @@ impl OooCore {
                         break;
                     }
                 }
-                // Fetch is in program order: the block's records start here.
-                debug_assert_eq!(events.len(), start as usize);
-                for j in start..end {
-                    let mut ev = InstrEvents {
-                        f1,
-                        f2,
-                        mispredicted: blocked == Some(j),
-                        ..InstrEvents::BLANK
-                    };
-                    if j == start {
-                        ev.icache_miss = acc.l1_miss;
-                        if let Some(from) = refill_pending.take() {
-                            // After a squash, the misprediction (not the
-                            // buffer slot) is the binding dependence.
-                            ev.refill_from = Some(from);
-                        } else {
-                            ev.fetch_slot_from = slot_releaser;
+                if record {
+                    // Fetch is in program order: the block's records start
+                    // here.
+                    debug_assert_eq!(events.len(), start as usize);
+                    for j in start..end {
+                        let mut ev = InstrEvents {
+                            f1,
+                            f2,
+                            mispredicted: blocked == Some(j),
+                            ..InstrEvents::BLANK
+                        };
+                        if j == start {
+                            ev.icache_miss = acc.l1_miss;
+                            if let Some(from) = refill_pending.take() {
+                                // After a squash, the misprediction (not the
+                                // buffer slot) is the binding dependence.
+                                ev.refill_from = Some(from);
+                            } else {
+                                ev.fetch_slot_from = slot_releaser;
+                            }
                         }
+                        events.push(ev);
                     }
-                    events.push(ev);
                 }
                 blocks.push_back(FetchBlock {
                     next: start,
@@ -850,12 +915,8 @@ impl OooCore {
             }
         }
 
-        let total_cycles = events
-            .last()
-            .map(|e| e.c)
-            .filter(|&c| c != UNSET)
-            .unwrap_or(cycle);
-        stats.cycles = total_cycles;
+        // The last instruction's commit (0 for an empty trace).
+        stats.cycles = last_commit_cycle;
         stats.btb_misses = bpred.btb_misses();
         for (i, acc) in occupancy_acc.iter().enumerate() {
             stats.avg_occupancy[i] = if cycle > 0 {
@@ -865,10 +926,9 @@ impl OooCore {
             };
         }
 
-        out.trace.set_deps(&dep_buf, &deps_at);
-        out.trace.cycles = total_cycles;
-        out.stats = stats;
-        Ok(())
+        trace.set_deps(&dep_buf, &deps_at);
+        trace.cycles = stats.cycles;
+        Ok(stats)
     }
 }
 

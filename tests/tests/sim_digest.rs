@@ -14,22 +14,13 @@
 //! leave `EXPECTED` unchanged. A change that is meant to alter timing
 //! updates it and says so.
 
-use archexplorer::dse::{DesignSpace, ParamId};
+use archexplorer::dse::DesignSpace;
 use archexplorer::sim::config::{MemDepPolicy, ReplPolicy};
-use archexplorer::sim::trace_gen::{self, XorShift};
-use archexplorer::sim::{
-    InstrEvents, Instruction, MicroArch, OooCore, PipelineTrace, SimResult, SimStats,
-};
-use archexplorer::workloads::spec06_suite;
+use archexplorer::sim::{InstrEvents, OooCore, PipelineTrace, SimResult, SimStats};
+use archx_integration::sim_inputs::{designs, latin_hypercube, traces};
 
-/// The digest of the inputs below.
+/// The digest of the `sim_inputs` designs and traces.
 const EXPECTED: u64 = 0xad4f_8284_ba38_4f33;
-
-/// Instructions per SPEC06-like trace.
-const WINDOW: usize = 5_000;
-
-/// Latin-hypercube points drawn from the Table 4 lattice.
-const LHS_POINTS: usize = 8;
 
 struct Fnv(u64);
 
@@ -68,64 +59,6 @@ impl Fnv {
             }
         }
     }
-}
-
-/// `LHS_POINTS` designs, one per stratum of every Table 4 parameter (a
-/// seeded shuffle pairs the strata), alternating the memory-dependence
-/// policy and cycling the L1 replacement policy.
-fn latin_hypercube() -> Vec<MicroArch> {
-    let space = DesignSpace::table4();
-    let mut rng = XorShift::new(0x5eed_d16e);
-    let mut designs = vec![MicroArch::baseline(); LHS_POINTS];
-    for &p in &ParamId::ALL {
-        let mut strata: Vec<usize> = (0..LHS_POINTS).collect();
-        for k in (1..LHS_POINTS).rev() {
-            strata.swap(k, rng.below(k as u64 + 1) as usize);
-        }
-        let cands = space.candidates(p);
-        for (design, &s) in designs.iter_mut().zip(&strata) {
-            p.set(design, cands[(2 * s + 1) * cands.len() / (2 * LHS_POINTS)]);
-        }
-    }
-    let policies = [ReplPolicy::Lru, ReplPolicy::Fifo, ReplPolicy::Random];
-    for (k, design) in designs.iter_mut().enumerate() {
-        design.mem_dep = if k % 2 == 0 {
-            MemDepPolicy::StoreSets
-        } else {
-            MemDepPolicy::Conservative
-        };
-        design.replacement = policies[k % 3];
-    }
-    designs
-}
-
-fn designs() -> Vec<MicroArch> {
-    let mut baseline_ss = MicroArch::baseline();
-    baseline_ss.mem_dep = MemDepPolicy::StoreSets;
-    baseline_ss.replacement = ReplPolicy::Fifo;
-    let mut tiny_ss = MicroArch::tiny();
-    tiny_ss.mem_dep = MemDepPolicy::StoreSets;
-    tiny_ss.replacement = ReplPolicy::Random;
-    let mut all = vec![
-        MicroArch::baseline(),
-        MicroArch::tiny(),
-        baseline_ss,
-        tiny_ss,
-    ];
-    all.extend(latin_hypercube());
-    all
-}
-
-fn traces() -> Vec<Vec<Instruction>> {
-    let mut all: Vec<Vec<Instruction>> = spec06_suite()
-        .iter()
-        .map(|w| w.generate(WINDOW, 1).to_vec())
-        .collect();
-    all.push(trace_gen::random_branches(3_000, 0xb4a9));
-    all.push(trace_gen::divide_heavy(1_500));
-    all.push(trace_gen::store_load_pairs(2_000));
-    all.push(trace_gen::pointer_chase(3_000, 1 << 22, 0x1234));
-    all
 }
 
 fn hash_event(h: &mut Fnv, trace: &PipelineTrace, j: usize) {
