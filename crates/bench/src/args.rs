@@ -3,13 +3,18 @@
 //! `archx` CLI, so every front end accepts the same dialect.
 
 use archexplorer::cliopt::{self, TelemetryMode};
-use archexplorer::dse::campaign::Method;
 use std::collections::HashMap;
 
-/// Parsed `KEY=VALUE` arguments.
-#[derive(Debug, Clone, Default)]
+/// Parsed `KEY=VALUE` arguments, read through [`cliopt::command_line`]:
+/// GNU-style flags (`--jobs N`, …) arrive as their `key=value` forms and
+/// the `--telemetry` mode is taken out. Dropping the `Args` prints the
+/// telemetry report in that mode ([`cliopt::print_telemetry`]), so a
+/// binary that holds its `Args` through `main` reports after its work
+/// (unless it panicked).
+#[derive(Debug)]
 pub struct Args {
     map: HashMap<String, String>,
+    telemetry: TelemetryMode,
 }
 
 impl Args {
@@ -18,11 +23,15 @@ impl Args {
         Self::from_args(std::env::args().skip(1))
     }
 
-    /// Parses an explicit iterator (for tests).
+    /// Parses an explicit argument list; a usage error (a bad
+    /// `--telemetry` mode, a flag without its value) ends the process
+    /// with exit status 2.
     pub fn from_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let args: Vec<String> = iter.into_iter().collect();
+        let (args, telemetry) = cliopt::command_line(&args).unwrap_or_else(|e| fail(&e));
         Args {
             map: cliopt::parse_kv(&args),
+            telemetry,
         }
     }
 
@@ -54,28 +63,15 @@ impl Args {
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
+}
 
-    /// Method-list argument (`all`, `paper`, or comma-separated names),
-    /// shared with `archx campaign methods=`.
-    pub fn get_methods(&self, key: &str, default: &str) -> Result<Vec<Method>, String> {
-        cliopt::parse_methods(&self.get_str(key, default))
-    }
-
-    /// Seed-list argument (comma-separated), shared with
-    /// `archx campaign seeds=`.
-    pub fn get_seeds(&self, key: &str, default: &str) -> Result<Vec<u64>, String> {
-        cliopt::parse_seeds(&self.get_str(key, default))
-    }
-
-    /// The shared `telemetry=json|pretty|off` argument (default `off`).
-    /// When `off`, collection on the global registry is disabled so the
-    /// measured experiment pays no telemetry cost.
-    pub fn telemetry(&self) -> String {
-        let mode = self.get_str("telemetry", "off");
-        if TelemetryMode::parse(&mode) == Ok(TelemetryMode::Off) {
-            archexplorer::telemetry::global().set_enabled(false);
+impl Drop for Args {
+    fn drop(&mut self) {
+        // A binary that panicked reports nothing, as one that exited
+        // through `fail` does.
+        if !std::thread::panicking() {
+            cliopt::print_telemetry(self.telemetry);
         }
-        mode
     }
 }
 
@@ -100,15 +96,13 @@ mod tests {
     }
 
     #[test]
-    fn method_and_seed_lists_share_the_cli_dialect() {
-        let a = Args::from_args(["methods=random,boom".to_string(), "seeds=1,2".to_string()]);
-        assert_eq!(
-            a.get_methods("methods", "all").unwrap(),
-            vec![Method::Random, Method::BoomExplorer]
-        );
-        assert_eq!(a.get_seeds("seeds", "1").unwrap(), vec![1, 2]);
-        // Defaults kick in when the key is absent.
-        assert_eq!(a.get_methods("absent", "paper").unwrap(), Method::PAPER_SET);
-        assert_eq!(a.get_seeds("absent", "5").unwrap(), vec![5]);
+    fn gnu_flags_reach_their_keys() {
+        let a = Args::from_args([
+            "--jobs".to_string(),
+            "4".to_string(),
+            "--threads=8".to_string(),
+        ]);
+        assert_eq!(a.get_usize("jobs", 1), 4);
+        assert_eq!(a.get_usize("threads", 1), 8);
     }
 }

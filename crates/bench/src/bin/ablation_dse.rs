@@ -16,7 +16,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let budget = args.get_u64("budget", 240);
     let instrs = args.get_usize("instrs", 12_000);
     let seed = args.get_u64("seed", 1);
@@ -76,5 +75,4 @@ fn main() {
         suite.len(),
         t.to_text()
     );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -23,7 +23,6 @@ use std::time::Instant;
 
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let jobs = args.get_usize("jobs", 4).max(2);
     let out = args.get_str("out", "BENCH_campaign.json");
     let sim_budget = args.get_u64("budget", 10);
@@ -86,7 +85,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {out}");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
     if identical {
         ExitCode::SUCCESS
     } else {

@@ -17,7 +17,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     // Branch-hostile workloads show the algorithm differences best.
     let suite: Vec<Workload> = spec06_suite()
@@ -61,5 +60,4 @@ fn main() {
     println!("expected: tournament ≤ gshare ≤ bimodal misprediction rates at equal storage;");
     println!("the BPred bottleneck contribution falls with the better algorithm — the lever the");
     println!("paper says capacity alone cannot provide.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -16,7 +16,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let budget = args.get_u64("budget", 240);
     let instrs = args.get_usize("instrs", 15_000);
     let power_cap = args.get_f64("power_cap", 0.15);
@@ -85,5 +84,4 @@ fn main() {
     );
     println!("expected: the constrained bottleneck search finds a faster design inside the");
     println!("budgets than random sampling, and spends most of its budget on feasible points.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -17,7 +17,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     let suite = spec17_suite();
 
@@ -72,5 +71,4 @@ fn main() {
     );
     println!("reading: speculation recovers load parallelism lost to unknown store addresses;");
     println!("violations are replays, visible as the MemDep source in the bottleneck report.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

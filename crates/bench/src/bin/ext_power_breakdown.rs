@@ -14,7 +14,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     let name = args.get_str("workload", "x264");
     let suite = spec17_suite();
@@ -58,5 +57,4 @@ fn main() {
         "headline model power: {:.4} W (breakdown splits the same energy heuristically)",
         ppa.power_w
     );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -17,7 +17,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     // Memory-sensitive workloads.
     let suite: Vec<Workload> = spec06_suite()
@@ -55,5 +54,4 @@ fn main() {
     println!("expected: LRU ≤ FIFO ≈ random miss rates; the differences are small next to");
     println!("capacity effects — matching the paper's point that pattern-hostile workloads");
     println!("need smarter policies, not just bigger arrays.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -18,7 +18,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 200_000);
     let interval = args.get_usize("interval", 10_000);
     let k = args.get_usize("k", 4);
@@ -142,5 +141,4 @@ fn main() {
     println!("sampling methodology the paper's evaluation rests on. DRAM-dominated phases with");
     println!("high inter-interval variance (three-phase above) need more clusters or longer");
     println!("windows, the same trade real SimPoint makes.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -18,7 +18,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 60_000);
     let bins = args.get_usize("bins", 6);
 
@@ -75,5 +74,4 @@ fn main() {
     println!("{}", t.to_text());
     println!("expected: the dominant source shifts window to window as the phases change —");
     println!("FP/unit pressure first, D-cache in the middle, branch squashes at the end.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -17,7 +17,6 @@ use std::collections::HashSet;
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 20_000);
     let steps = args.get_usize("steps", 5);
 
@@ -71,5 +70,4 @@ fn main() {
         }
         arch = r.arch;
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -140,7 +140,6 @@ fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, jobs: usi
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let sim_budget = args.get_u64("budget", 360);
     let instrs = args.get_usize("instrs", 20_000);
     let seed = args.get_u64("seed", 1);
@@ -169,5 +168,4 @@ fn main() {
             run_suite(&name, &template, sim_budget, jobs);
         }
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

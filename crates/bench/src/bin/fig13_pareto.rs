@@ -16,7 +16,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let sim_budget = args.get_u64("budget", 360);
     let limit = args.get_usize("workloads", usize::MAX);
     let template = Evaluator::builder(suite_prefix(spec06_suite(), limit))
@@ -85,5 +84,4 @@ fn main() {
             );
         }
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

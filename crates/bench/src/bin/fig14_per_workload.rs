@@ -13,7 +13,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let sim_budget = args.get_u64("budget", 240);
     let instrs = args.get_usize("instrs", 20_000);
     let seed = args.get_u64("seed", 1);
@@ -72,5 +71,4 @@ fn main() {
             println!("  {m}: best on {w}/{} workloads", suite.len());
         }
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

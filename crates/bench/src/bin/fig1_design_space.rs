@@ -68,7 +68,6 @@ fn pca2(features: &[Vec<f64>]) -> Vec<(f64, f64)> {
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let designs = args.get_usize("designs", 200);
     let instrs = args.get_usize("instrs", 20_000);
     let seed = args.get_u64("seed", 1);
@@ -153,5 +152,4 @@ fn main() {
         "  area : {:.3} (flat — near-linear in parameters)",
         linear_r2(&|p: &PpaResult| p.area_mm2)
     );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -17,7 +17,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     let evaluator = Evaluator::builder(spec17_suite()).window(instrs).build();
 
@@ -77,5 +76,4 @@ fn main() {
     println!(
         "expected shape: IntRF x2 lifts perf & trade-off; FpALU/FpMultDiv x2 only add power/area."
     );
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

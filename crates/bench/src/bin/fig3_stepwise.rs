@@ -79,7 +79,6 @@ fn param_of(kind: ResourceKind) -> ParamId {
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 20_000);
     let steps = args.get_usize("steps", 6);
     let suite = spec17_suite();
@@ -154,5 +153,4 @@ fn main() {
         t.to_text()
     );
     println!("expected shape: power/area drop as idle queues shrink; the trade-off climbs well above 100%.");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -21,7 +21,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     let suite = spec06_suite();
     let arch = MicroArch::baseline();
@@ -101,5 +100,4 @@ fn main() {
     } else {
         println!("  static over-estimate: all {static_port:.0} attributed cycles are spurious (new DEG sees full overlap)");
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -10,6 +10,7 @@ use archexplorer::deg::bottleneck;
 use archexplorer::deg::prelude::*;
 use archexplorer::sim::isa::{Instruction, OpClass, Reg};
 use archexplorer::sim::{MicroArch, OooCore};
+use archx_bench::Args;
 
 /// A snippet in the spirit of Figure 9: integer ops, loads with misses,
 /// dependent arithmetic and a conditional branch.
@@ -61,6 +62,9 @@ fn snippet() -> Vec<Instruction> {
 }
 
 fn main() {
+    // Takes no settings, but reads the shared flags (`--telemetry`) and
+    // reports when `_args` drops at the end of `main`.
+    let _args = Args::from_env();
     let mut arch = MicroArch::tiny();
     arch.width = 2;
     let result = OooCore::new(arch).run(&snippet()).expect("simulates");

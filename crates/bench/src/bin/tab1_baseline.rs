@@ -14,7 +14,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 50_000);
     let evaluator = Evaluator::builder(spec17_suite()).window(instrs).build();
 
@@ -101,5 +100,4 @@ fn main() {
         ]);
     }
     println!("{}", t.to_text());
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

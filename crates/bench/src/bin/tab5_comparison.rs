@@ -23,7 +23,6 @@ use archx_bench::{Args, Table};
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let sim_budget = args.get_u64("budget", 360);
     let instrs = args.get_usize("instrs", 20_000);
     let seed = args.get_u64("seed", 1);
@@ -92,5 +91,4 @@ fn main() {
         );
         println!("{}", t.to_text());
     }
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -42,7 +42,6 @@ fn median_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
 
 fn main() {
     let args = Args::from_env();
-    let telemetry_mode = args.telemetry();
     let instrs = args.get_usize("instrs", 30_000);
     let suite = spec17_suite();
     let arch = MicroArch::baseline();
@@ -122,5 +121,4 @@ fn main() {
     println!("note: gem5 runs ~2-3 orders of magnitude slower than this cycle-level model, so the");
     println!("      same absolute analysis cost is negligible against the paper's simulations.");
     println!("(paper: +39.59% vertices, -51.72% edges; direction should match)");
-    archx_bench::emit::emit_telemetry(&telemetry_mode);
 }

@@ -1,8 +1,5 @@
-//! Tiny table/CSV emitter used by all experiment binaries, plus the
-//! shared telemetry reporting that every binary exposes through the
-//! `telemetry=json|pretty|off` argument.
+//! Tiny table/CSV emitter used by all experiment binaries.
 
-use archexplorer::telemetry;
 use std::fmt::Write as _;
 
 /// An in-memory table that renders as aligned text or CSV.
@@ -67,61 +64,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Renders the global telemetry report according to `mode` (the value of
-/// the shared `telemetry=json|pretty|off` argument) to stderr. `pretty`
-/// renders the span timers through a [`Table`], matching the binaries'
-/// other output. Unknown modes fall back to `off` with a warning.
-pub fn emit_telemetry(mode: &str) {
-    match mode {
-        "off" => {}
-        "json" => eprintln!("{}", telemetry::global().report().to_json()),
-        "pretty" => {
-            let report = telemetry::global().report();
-            if report.counters.is_empty() && report.timers.is_empty() {
-                eprintln!("(no telemetry recorded)");
-                return;
-            }
-            let mut t = Table::new(["metric", "count", "total_ms", "mean_us", "max_us"]);
-            for (name, v) in &report.counters {
-                t.row([
-                    name.clone(),
-                    v.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]);
-            }
-            for timer in &report.timers {
-                t.row([
-                    timer.name.clone(),
-                    timer.count.to_string(),
-                    format!("{:.3}", timer.total_ns as f64 / 1e6),
-                    format!("{:.1}", timer.mean_ns() / 1e3),
-                    format!("{:.1}", timer.max_ns as f64 / 1e3),
-                ]);
-            }
-            for h in &report.histograms {
-                t.row([
-                    h.name.clone(),
-                    h.count.to_string(),
-                    String::new(),
-                    format!(
-                        "{:.1}",
-                        if h.count == 0 {
-                            0.0
-                        } else {
-                            h.sum as f64 / h.count as f64
-                        }
-                    ),
-                    h.max.to_string(),
-                ]);
-            }
-            eprint!("{}", t.to_text());
-        }
-        other => eprintln!("warning: telemetry={other} not recognised (json|pretty|off)"),
     }
 }
 

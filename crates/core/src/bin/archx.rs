@@ -18,8 +18,9 @@
 //! `Width=6`, `DCacheKb=64`, …). Every command accepts
 //! `--telemetry json|pretty|off` (default `off`): after the command runs,
 //! the process-wide telemetry report (span timers like `eval/simulate` and
-//! `eval/deg/build`, counters like `dse/iteration`, latency histograms) is
-//! printed to stderr as JSON or an aligned table.
+//! `eval/deg/build`, counters like `dse/iteration` and `sim/cycles`) is
+//! printed to stderr as JSON or an aligned table. A bad `--telemetry`
+//! mode or a flag without its value exits with status 2 before any work.
 //!
 //! `--threads N` sets the threads an evaluation's workload simulations
 //! run on; results are identical for any N. `campaign` runs a full
@@ -53,8 +54,8 @@
 //! design for repro runs, and the exit status is nonzero on any violation.
 
 use archexplorer::cliopt::{
-    extract_telemetry, get, normalize_flags, parse_kv, parse_method, parse_methods, parse_seeds,
-    workloads, TelemetryMode,
+    command_line, get, parse_kv, parse_method, parse_methods, parse_seeds, print_telemetry,
+    workloads,
 };
 use archexplorer::deg::prelude::*;
 use archexplorer::dse::journal::Journal;
@@ -491,23 +492,13 @@ fn cmd_space() -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, mode) = match extract_telemetry(&raw) {
+    let (args, mode) = match command_line(&raw) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    let args = match normalize_flags(&args) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if mode == TelemetryMode::Off {
-        telemetry::global().set_enabled(false);
-    }
     let Some(cmd) = args.first() else {
         eprintln!(
             "usage: archx <analyze|explore|campaign|export|import|verify|space> \
@@ -526,11 +517,7 @@ fn main() -> ExitCode {
         "space" => cmd_space(),
         other => Err(format!("unknown command `{other}`")),
     };
-    match mode {
-        TelemetryMode::Off => {}
-        TelemetryMode::Json => eprintln!("{}", telemetry::global().report().to_json()),
-        TelemetryMode::Pretty => eprint!("{}", telemetry::global().report().to_pretty()),
-    }
+    print_telemetry(mode);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

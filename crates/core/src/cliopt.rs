@@ -5,11 +5,14 @@
 //! GNU-style flags (`--jobs N`, `--threads N`, `--journal PATH`, …) that
 //! normalise to `key=value`, a `--telemetry json|pretty|off` switch, and
 //! comma-separated method/seed lists — so the parsing lives here once
-//! instead of being copy-pasted per binary.
+//! instead of being copy-pasted per binary. Each binary reads its
+//! arguments through [`command_line`] and ends with [`print_telemetry`].
 
+use crate::telemetry;
 use archx_dse::campaign::Method;
 use archx_workloads::{parse_suite, suite_named, suite_prefix, Workload};
 use std::collections::HashMap;
+use std::io::Write as _;
 
 /// Collects `key=value` arguments into a map; other arguments are ignored
 /// (positional commands are handled by the caller).
@@ -26,7 +29,7 @@ pub fn parse_kv(args: &[String]) -> HashMap<String, String> {
 /// `--retries N`, `--jobs N`, `--threads N`, `--designs N`, `--seed N`,
 /// `--window N`, `--report PATH` and `--inject FAULT` (including their
 /// `--flag=value` forms) into the CLI's native `key=value` arguments.
-pub fn normalize_flags(args: &[String]) -> Result<Vec<String>, String> {
+fn normalize_flags(args: &[String]) -> Result<Vec<String>, String> {
     const FLAGS: [(&str, &str); 11] = [
         ("--journal", "journal"),
         ("--resume", "resume"),
@@ -74,7 +77,7 @@ pub enum TelemetryMode {
 
 impl TelemetryMode {
     /// Parses `json`, `pretty` or `off`.
-    pub fn parse(text: &str) -> Result<Self, String> {
+    fn parse(text: &str) -> Result<Self, String> {
         match text {
             "off" => Ok(TelemetryMode::Off),
             "json" => Ok(TelemetryMode::Json),
@@ -89,7 +92,7 @@ impl TelemetryMode {
 /// Extracts `--telemetry MODE` / `--telemetry=MODE` / `telemetry=MODE`
 /// from the argument list, returning the remaining arguments and the mode
 /// (default [`TelemetryMode::Off`]).
-pub fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode), String> {
+fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut mode = TelemetryMode::Off;
     let mut it = args.iter();
@@ -109,6 +112,33 @@ pub fn extract_telemetry(args: &[String]) -> Result<(Vec<String>, TelemetryMode)
         }
     }
     Ok((rest, mode))
+}
+
+/// The front ends' shared entry: takes the telemetry mode out of `args`
+/// (`extract_telemetry`), rewrites the GNU-style flags that remain
+/// (`normalize_flags`), and disables collection on the global registry
+/// when the mode is [`TelemetryMode::Off`], so an unreported run pays no
+/// telemetry cost. Errors are usage errors: a bad mode or a flag without
+/// its value.
+pub fn command_line(args: &[String]) -> Result<(Vec<String>, TelemetryMode), String> {
+    let (rest, mode) = extract_telemetry(args)?;
+    let rest = normalize_flags(&rest)?;
+    if mode == TelemetryMode::Off {
+        telemetry::global().set_enabled(false);
+    }
+    Ok((rest, mode))
+}
+
+/// Prints the global registry's report to stderr in `mode`: JSON, the
+/// aligned table, or nothing. A report stderr cannot take is dropped
+/// rather than a panic, so this is safe to call from `Drop`.
+pub fn print_telemetry(mode: TelemetryMode) {
+    let text = match mode {
+        TelemetryMode::Off => return,
+        TelemetryMode::Json => telemetry::global().report().to_json() + "\n",
+        TelemetryMode::Pretty => telemetry::global().report().to_pretty(),
+    };
+    let _ = std::io::stderr().write_all(text.as_bytes());
 }
 
 /// Typed `key=value` lookup: `default` when the key is absent, and an
@@ -295,6 +325,19 @@ mod tests {
         assert_eq!(mode, TelemetryMode::Off);
         assert!(extract_telemetry(&strings(&["--telemetry", "loud"])).is_err());
         assert!(extract_telemetry(&strings(&["--telemetry"])).is_err());
+    }
+
+    #[test]
+    fn command_line_takes_telemetry_and_flags_in_one_call() {
+        let (rest, mode) =
+            command_line(&strings(&["x=1", "--jobs", "4", "--telemetry=json"])).expect("parses");
+        assert_eq!(mode, TelemetryMode::Json);
+        assert_eq!(rest, strings(&["x=1", "jobs=4"]));
+        assert_eq!(get(&parse_kv(&rest), "jobs", 1usize), Ok(4));
+        let err = command_line(&strings(&["--telemetry", "loud"])).expect_err("bad mode");
+        assert!(err.contains("loud"), "{err}");
+        let err = command_line(&strings(&["--jobs"])).expect_err("missing value");
+        assert!(err.contains("--jobs"), "{err}");
     }
 
     #[test]

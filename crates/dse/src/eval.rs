@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 thread_local! {
     /// The last simulation result on this thread, kept so the next
@@ -353,6 +352,7 @@ impl EvaluatorBuilder {
             sims: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
+            replay_costs: Mutex::new(HashMap::new()),
             quarantine: Mutex::new(Vec::new()),
             journal: Mutex::new(None),
             journal_error: Mutex::new(None),
@@ -375,6 +375,9 @@ pub struct Evaluator {
     sims: AtomicU64,
     retries: AtomicU64,
     cache: Mutex<HashMap<MicroArch, Result<DesignEval, EvalFailure>>>,
+    /// Journaled simulations of replayed designs the search has not asked
+    /// for yet (see [`Evaluator::warm_start`]).
+    replay_costs: Mutex<HashMap<MicroArch, u64>>,
     quarantine: Mutex<Vec<QuarantineEntry>>,
     journal: Mutex<Option<Journal>>,
     journal_error: Mutex<Option<String>>,
@@ -409,7 +412,8 @@ impl Evaluator {
     }
 
     /// Simulations performed so far (one per workload per attempt on
-    /// every uncached design, failures included).
+    /// every uncached design, failures included), plus the journaled cost
+    /// of every replayed design the search has asked for.
     pub fn sim_count(&self) -> u64 {
         self.sims.load(Ordering::Relaxed)
     }
@@ -454,16 +458,21 @@ impl Evaluator {
         lock(&self.journal_error).clone()
     }
 
-    /// Replays journaled evaluations into the cache and the simulation
-    /// counter, so a resumed deterministic search spends budget only past
-    /// the replayed prefix. Returns the simulations replayed.
+    /// Replays journaled evaluations into the cache. A replayed design's
+    /// journaled simulations are charged to the budget when the search
+    /// first asks for it, not here, so a resumed deterministic search sees
+    /// the budget of the uninterrupted run at every step, re-walks the
+    /// whole replayed prefix (even one that spent the entire budget) and
+    /// simulates only past it. Returns the simulations the records hold.
     pub fn warm_start(&self, records: Vec<JournalRecord>) -> u64 {
         let replayed = records.len() as u64;
         let mut sims = 0u64;
         {
             let mut cache = lock(&self.cache);
+            let mut costs = lock(&self.replay_costs);
             for rec in records {
                 sims += rec.sims_cost;
+                *costs.entry(rec.arch).or_default() += rec.sims_cost;
                 if let Err(failure) = &rec.outcome {
                     lock(&self.quarantine).push(QuarantineEntry {
                         arch: rec.arch,
@@ -475,7 +484,6 @@ impl Evaluator {
                 cache.insert(rec.arch, rec.outcome);
             }
         }
-        self.sims.fetch_add(sims, Ordering::Relaxed);
         telemetry::counter_add("journal/replayed", replayed);
         sims
     }
@@ -519,6 +527,9 @@ impl Evaluator {
         arch: &MicroArch,
         analysis: Analysis,
     ) -> Result<DesignEval, EvalFailure> {
+        if let Some(cost) = lock(&self.replay_costs).remove(arch) {
+            self.sims.fetch_add(cost, Ordering::Relaxed);
+        }
         if let Some(hit) = lock(&self.cache).get(arch) {
             match hit {
                 Ok(eval) if analysis == Analysis::None || eval.analysis == analysis => {
@@ -626,7 +637,6 @@ impl Evaluator {
         if let Some(budget) = self.limits.cycle_budget {
             core = core.with_cycle_budget(budget);
         }
-        let started = Instant::now();
         let stats = {
             let _timed = telemetry::span("simulate");
             if analysis == Analysis::None {
@@ -636,7 +646,6 @@ impl Evaluator {
                 result.stats.clone()
             }
         };
-        telemetry::record("eval/sim_latency_us", started.elapsed().as_micros() as u64);
         stats.export_telemetry();
         let ppa = self.power.evaluate(arch, &stats);
         if !(ppa.ipc.is_finite() && ppa.power_w.is_finite() && ppa.area_mm2.is_finite()) {
@@ -1110,19 +1119,27 @@ mod tests {
         assert_eq!(ev.sim_count(), 4);
         assert!(ev.journal_error().is_none());
 
-        // A fresh evaluator resumes from the journal: same results, same
-        // budget position, zero new simulations.
+        // A fresh evaluator resumes from the journal: same results, the
+        // same budget position once the search has reached each replayed
+        // design, zero new simulations.
         let ev2 = small_eval();
         let (journal2, records) = Journal::resume(&path, &ev2.fingerprint(Vec::new())).unwrap();
         assert_eq!(records.len(), 2);
         ev2.set_journal(journal2);
-        ev2.warm_start(records);
-        assert_eq!(ev2.sim_count(), 4, "budget replays from the journal");
+        assert_eq!(ev2.warm_start(records), 4, "the journal's simulations");
+        assert_eq!(ev2.sim_count(), 0, "charged as the search reaches them");
         let ra = ev2.evaluate(&a).expect("cached");
+        assert_eq!(ev2.sim_count(), 2, "a's journaled cost");
         let rb = ev2.evaluate_with(&b, Analysis::NewDeg).expect("cached");
+        let ra_again = ev2.evaluate(&a).expect("cached");
         assert_eq!(ra, ea);
         assert_eq!(rb, eb);
-        assert_eq!(ev2.sim_count(), 4, "no re-simulation after warm start");
+        assert_eq!(ra_again, ea);
+        assert_eq!(ev2.sim_count(), 4, "each replayed cost is charged once");
+        assert!(ev2.journal_error().is_none());
+        // Nothing was re-simulated: no evaluation was appended.
+        let (_, records) = Journal::resume(&path, &ev2.fingerprint(Vec::new())).unwrap();
+        assert_eq!(records.len(), 2, "no re-simulation after warm start");
         std::fs::remove_file(&path).unwrap();
     }
 

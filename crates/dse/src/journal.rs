@@ -26,7 +26,7 @@ use archx_power::PpaResult;
 use archx_sim::MicroArch;
 use archx_telemetry::{self as telemetry, JsonValue};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Evaluator configuration a journal is only valid for.
@@ -140,7 +140,9 @@ impl Journal {
     /// append mode. A missing file behaves like [`Journal::create`] (so
     /// the first run of a `--resume` campaign needs no special-casing).
     /// A truncated or corrupt final line is dropped; the design it
-    /// described is simply re-evaluated.
+    /// described is simply re-evaluated. The file is cut back to the end
+    /// of the last complete record, so the next append starts a line of
+    /// its own and the journal resumes again.
     pub fn resume(
         path: impl AsRef<Path>,
         fp: &JournalFingerprint,
@@ -149,18 +151,19 @@ impl Journal {
         if !path.exists() {
             return Journal::create(&path, fp).map(|j| (j, Vec::new()));
         }
-        let reader = BufReader::new(File::open(&path).map_err(|e| io_err(&path, &e))?);
-        let lines: Vec<String> = reader
-            .lines()
-            .collect::<Result<_, _>>()
-            .map_err(|e| io_err(&path, &e))?;
-        let non_empty: Vec<(usize, &str)> = lines
-            .iter()
+        let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, &e))?;
+        // (line number, byte offset just past the line, trimmed line).
+        let mut end = 0;
+        let non_empty: Vec<(usize, usize, &str)> = text
+            .split_inclusive('\n')
             .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty())
+            .map(|(i, l)| {
+                end += l.len();
+                (i + 1, end, l.trim())
+            })
+            .filter(|(_, _, l)| !l.is_empty())
             .collect();
-        let Some(&(_, header_line)) = non_empty.first() else {
+        let Some(&(_, header_end, header_line)) = non_empty.first() else {
             // Header never made it to disk: start over.
             return Journal::create(&path, fp).map(|j| (j, Vec::new()));
         };
@@ -171,18 +174,21 @@ impl Journal {
         check_header(&header, fp)?;
 
         let mut records = Vec::new();
+        let mut keep = header_end;
         let last = non_empty.len() - 1;
-        for (pos, &(lineno, line)) in non_empty.iter().enumerate().skip(1) {
+        for (pos, &(lineno, line_end, line)) in non_empty.iter().enumerate().skip(1) {
             match JsonValue::parse(line)
                 .map_err(|e| e.to_string())
                 .and_then(|v| record_from_json(&v))
             {
-                Ok(rec) => records.push(rec),
-                Err(message) if pos == last => {
+                Ok(rec) => {
+                    records.push(rec);
+                    keep = line_end;
+                }
+                Err(_) if pos == last => {
                     // The write this line belonged to never completed
                     // (the process died mid-append); redo that evaluation.
                     telemetry::counter_add("journal/truncated_tail", 1);
-                    let _ = message;
                 }
                 Err(message) => {
                     return Err(JournalError::Corrupt {
@@ -192,9 +198,20 @@ impl Journal {
                 }
             }
         }
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .append(true)
             .open(&path)
+            .map_err(|e| io_err(&path, &e))?;
+        file.set_len(keep as u64)
+            .and_then(|()| {
+                // A last record cut just before its newline still parses;
+                // end its line so the next append does not join it.
+                if text[..keep].ends_with('\n') {
+                    Ok(())
+                } else {
+                    file.write_all(b"\n")
+                }
+            })
             .map_err(|e| io_err(&path, &e))?;
         Ok((Journal { file, path }, records))
     }
@@ -652,8 +669,35 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"{\"params\":{\"Width\":4,\"Fetch").unwrap();
         }
-        let (_, records) = Journal::resume(&path, &fp()).unwrap();
+        let (mut j, records) = Journal::resume(&path, &fp()).unwrap();
         assert_eq!(records, vec![ok_record()]);
+        // The torn tail is gone from the file: the next record gets a
+        // line of its own and a second resume reads both back.
+        j.append(&ok_record()).unwrap();
+        drop(j);
+        let (_, records) = Journal::resume(&path, &fp()).unwrap();
+        assert_eq!(records, vec![ok_record(), ok_record()]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn record_cut_before_its_newline_gets_one_on_resume() {
+        let dir = std::env::temp_dir().join(format!("archx-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("no-newline.jsonl");
+        {
+            let mut j = Journal::create(&path, &fp()).unwrap();
+            j.append(&ok_record()).unwrap();
+        }
+        // The record is whole; only its newline never reached the disk.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end()).unwrap();
+        let (mut j, records) = Journal::resume(&path, &fp()).unwrap();
+        assert_eq!(records, vec![ok_record()]);
+        j.append(&ok_record()).unwrap();
+        drop(j);
+        let (_, records) = Journal::resume(&path, &fp()).unwrap();
+        assert_eq!(records, vec![ok_record(), ok_record()]);
         std::fs::remove_file(&path).unwrap();
     }
 

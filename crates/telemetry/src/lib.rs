@@ -10,15 +10,16 @@
 //!   a span opened inside another span (or [`scope`]) is recorded under
 //!   the joined path, so `archx-deg`'s `deg/build` span becomes
 //!   `eval/deg/build` when the evaluator runs it under its `eval` scope.
-//! - **Histograms** — power-of-two-bucketed latency distributions
-//!   (per-design simulation latency, …).
 //! - **Progress sinks** — the [`Progress`] event type (simulations done
 //!   vs. budget, current hypervolume, best `Perf²/(Power·Area)`) and the
 //!   [`ProgressSink`] trait an evaluator delivers it to, plus
 //!   [`LabelledSink`] and [`CollectingSink`].
 //! - **Reports** — a point-in-time [`Report`] snapshot that renders as
-//!   machine-readable JSON (with a bundled parser for round-trips) or an
-//!   aligned human-readable table (the CLI's `--telemetry json|pretty`).
+//!   machine-readable JSON or an aligned human-readable table (the
+//!   `--telemetry json|pretty` output of every binary).
+//! - **JSON** — the [`JsonValue`] writer and parser behind the JSON
+//!   report, which the evaluation journal and the `verify` report also
+//!   use for their files.
 //!
 //! Most call sites use the process-global registry through the free
 //! functions below; tests build private [`Registry`] instances.
@@ -33,9 +34,8 @@
 //! }
 //! let report = telemetry::global().report();
 //! assert!(report.counter("demo/widgets") >= 3);
-//! let json = report.to_json();
-//! let back = telemetry::Report::from_json(&json).unwrap();
-//! assert_eq!(report.counter("demo/widgets"), back.counter("demo/widgets"));
+//! let json = telemetry::JsonValue::parse(&report.to_json()).unwrap();
+//! assert!(json.get("timers").and_then(|t| t.get("demo/step")).is_some());
 //! ```
 
 mod json;
@@ -44,7 +44,7 @@ mod registry;
 
 pub use json::{JsonError, JsonValue};
 pub use progress::{CollectingSink, LabelledSink, Progress, ProgressSink};
-pub use registry::{Histogram, HistogramStat, Registry, Report, ScopeGuard, Span, TimerStat};
+pub use registry::{Registry, Report, ScopeGuard, Span, TimerStat};
 
 use std::sync::OnceLock;
 
@@ -77,9 +77,4 @@ pub fn scope(name: &str) -> ScopeGuard {
 /// record under absolute names regardless of the caller's open scopes.
 pub fn root_scope() -> ScopeGuard {
     Registry::root_scope()
-}
-
-/// Records a value into a named histogram on the global registry.
-pub fn record(name: &str, value: u64) {
-    global().record(name, value);
 }

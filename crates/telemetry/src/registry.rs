@@ -1,7 +1,7 @@
-//! The metrics registry: counters, hierarchical span timers, histograms,
-//! and report snapshots.
+//! The metrics registry: counters, hierarchical span timers and report
+//! snapshots.
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,80 +20,6 @@ struct TimerCell {
     max_ns: AtomicU64,
 }
 
-/// Number of power-of-two histogram buckets (covers `u64`'s range).
-const BUCKETS: usize = 64;
-
-/// A lock-free power-of-two-bucketed histogram.
-///
-/// Bucket `i` counts values whose bit length is `i` (value 0 falls into
-/// bucket 0), so bucket upper bounds are `0, 1, 3, 7, …, 2^63-1, u64::MAX`.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        let idx = (64 - value.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    fn stat(&self, name: &str) -> HistogramStat {
-        let count = self.count.load(Ordering::Relaxed);
-        HistogramStat {
-            name: name.to_string(),
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    let c = c.load(Ordering::Relaxed);
-                    (c > 0).then(|| (bucket_upper(i), c))
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Inclusive upper bound of histogram bucket `i` (bucket `i` holds the
-/// values of bit length `i`; the last bucket absorbs everything above).
-fn bucket_upper(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        i if i >= BUCKETS - 1 => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
-
 /// The central metrics store. One global instance serves the whole
 /// process (see [`crate::global`]); tests construct private ones.
 #[derive(Default)]
@@ -101,7 +27,6 @@ pub struct Registry {
     enabled: AtomicBool,
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     timers: Mutex<HashMap<String, Arc<TimerCell>>>,
-    histograms: Mutex<HashMap<String, Arc<Histogram>>>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -150,34 +75,6 @@ impl Registry {
             return;
         }
         self.counter(name).fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of a named counter (0 when never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .unwrap()
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Records a value into a named histogram.
-    pub fn record(&self, name: &str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.histogram(name).record(value);
-    }
-
-    /// Handle to a named histogram.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::default());
-        map.insert(name.to_string(), Arc::clone(&h));
-        h
     }
 
     /// Enters a hierarchical scope for the current thread: while the
@@ -249,8 +146,8 @@ impl Registry {
         t
     }
 
-    /// Point-in-time snapshot of every counter, timer, and histogram,
-    /// sorted by name for deterministic output.
+    /// Point-in-time snapshot of every counter and timer, sorted by name
+    /// for deterministic output.
     pub fn report(&self) -> Report {
         let mut counters: Vec<(String, u64)> = self
             .counters
@@ -273,19 +170,7 @@ impl Registry {
             })
             .collect();
         timers.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramStat> = self
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, h)| h.stat(k))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        Report {
-            counters,
-            timers,
-            histograms,
-        }
+        Report { counters, timers }
     }
 }
 
@@ -367,42 +252,6 @@ impl TimerStat {
     }
 }
 
-/// Snapshot of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramStat {
-    /// Histogram name, e.g. `eval/sim_latency_us`.
-    pub name: String,
-    /// Observation count.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Non-empty buckets as `(inclusive upper bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramStat {
-    /// Approximate quantile (`0.0..=1.0`): the upper bound of the bucket
-    /// containing the q-th observation.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for &(upper, c) in &self.buckets {
-            seen += c;
-            if seen >= target {
-                return upper.min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// A full snapshot of a registry, renderable as JSON or aligned text.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
@@ -410,8 +259,6 @@ pub struct Report {
     pub counters: Vec<(String, u64)>,
     /// Span timers sorted by name.
     pub timers: Vec<TimerStat>,
-    /// Histograms sorted by name.
-    pub histograms: Vec<HistogramStat>,
 }
 
 impl Report {
@@ -428,19 +275,9 @@ impl Report {
         self.timers.iter().find(|t| t.name == name)
     }
 
-    /// Histogram stats by name, when present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// Machine-readable single-line JSON.
     pub fn to_json(&self) -> String {
         JsonValue::from_report(self).render()
-    }
-
-    /// Parses a report back from [`Report::to_json`] output.
-    pub fn from_json(text: &str) -> Result<Report, JsonError> {
-        JsonValue::parse(text)?.into_report()
     }
 
     /// Aligned human-readable rendering.
@@ -474,32 +311,6 @@ impl Report {
                 );
             }
         }
-        if !self.histograms.is_empty() {
-            let w = self
-                .histograms
-                .iter()
-                .map(|h| h.name.len())
-                .max()
-                .unwrap_or(0);
-            out.push_str("histograms\n");
-            for h in &self.histograms {
-                let mean = if h.count == 0 {
-                    0.0
-                } else {
-                    h.sum as f64 / h.count as f64
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<w$}  count {:>8}  mean {:>10.1}  p50 {:>8}  p99 {:>8}  max {:>8}",
-                    h.name,
-                    h.count,
-                    mean,
-                    h.quantile(0.5),
-                    h.quantile(0.99),
-                    h.max,
-                );
-            }
-        }
         if out.is_empty() {
             out.push_str("(no telemetry recorded)\n");
         }
@@ -520,7 +331,7 @@ mod tests {
         let per_thread = 10_000u64;
         crossbeam_free_scope(&reg, threads, per_thread);
         assert_eq!(
-            reg.counter_value("test/concurrent"),
+            reg.report().counter("test/concurrent"),
             threads as u64 * per_thread
         );
     }
@@ -612,28 +423,11 @@ mod tests {
         let reg = Registry::new();
         reg.set_enabled(false);
         reg.counter_add("x", 5);
-        reg.record("h", 3);
         {
             let _s = reg.span("quiet");
         }
         let report = reg.report();
         assert_eq!(report.counter("x"), 0);
         assert!(report.timer("quiet").is_none());
-        assert!(report.histogram("h").is_none());
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = Histogram::default();
-        for v in [0, 1, 1, 2, 3, 100, 1000] {
-            h.record(v);
-        }
-        let stat = h.stat("lat");
-        assert_eq!(stat.count, 7);
-        assert_eq!(stat.min, 0);
-        assert_eq!(stat.max, 1000);
-        assert_eq!(stat.sum, 1107);
-        assert!(stat.quantile(0.5) <= 3);
-        assert_eq!(stat.quantile(1.0), 1000);
     }
 }

@@ -155,20 +155,26 @@ fn killed_campaign_resumes_to_the_same_frontier_without_resimulating() {
     // Same frontier, and the total simulation count matches the
     // uninterrupted run: the replayed prefix cost zero new simulations.
     assert_eq!(log_res.frontier(), frontier_full);
+    assert_eq!(log_res, log_full, "same designs at the same budget points");
     assert_eq!(ev_res.sim_count(), sims_full);
     let best_full = log_full.best_tradeoff().expect("non-empty").ppa;
     let best_res = log_res.best_tradeoff().expect("non-empty").ppa;
     assert_eq!(best_full, best_res);
 
     // The resumed journal now covers the whole campaign: resuming it
-    // again replays everything and simulates nothing.
+    // again replays everything, simulates nothing, and the search still
+    // walks the whole run to the same frontier.
     let ev_done = template().build();
     let (_, records) = Journal::resume(
         &killed_path,
         &ev_done.fingerprint(vec![("method".into(), "Random".into())]),
     )
     .expect("second resume");
+    assert_eq!(records.len(), records_written);
     assert_eq!(ev_done.warm_start(records), sims_full);
+    let log_done = run_method_on(Method::Random, &DesignSpace::table4(), &ev_done, budget, 9);
+    assert_eq!(log_done, log_full, "a fully journaled run replays whole");
+    assert_eq!(ev_done.sim_count(), sims_full);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
