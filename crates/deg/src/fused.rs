@@ -1,7 +1,7 @@
 //! Fused, edge-implicit DEG analysis: [`build_deg`](crate::build_deg),
 //! [`induce`](crate::induce), [`critical_path`](crate::critical_path) and
-//! [`bottleneck::analyze`] in one pass over a simulation's event record,
-//! with the same results.
+//! [`bottleneck::analyze`](crate::bottleneck::analyze) in one pass over a
+//! simulation's event record, with the same results.
 //!
 //! The explicit chain stores every edge of the induced DEG — nine pipeline
 //! edges per instruction, the skewed edges, and the Rule 1/2 virtual edges
@@ -34,11 +34,11 @@
 //! that maximises `(cost, −origin, attributed delay)` offers every target
 //! the most, and wins the tie-break below. Rule 1 keeps that source among
 //! the vertices visited since the last start (its *window*); each start
-//! stores the window it closes in a ring of the last [`RULE_FANOUT`]
+//! stores the window it closes in a ring of the last `RULE_FANOUT`
 //! windows closed at its time, and takes the best of the ring: the windows
 //! whose Rule 1 targets include it. Rule 2 keeps one such source per
 //! instruction with starts (its *accumulator*), which each vertex offers
-//! to when visited; the first [`RULE_FANOUT`] starts of that instruction
+//! to when visited; the first `RULE_FANOUT` starts of that instruction
 //! take it when visited, from exactly the sources before them in key
 //! order, the forward ones.
 //!

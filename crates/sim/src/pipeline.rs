@@ -216,7 +216,7 @@ impl OooCore {
         instructions: &[Instruction],
         out: &mut SimResult,
     ) -> Result<(), SimError> {
-        out.stats = self.simulate(instructions, &mut out.trace, true)?;
+        out.stats = self.simulate(instructions, &mut out.trace, true)?.0;
         Ok(())
     }
 
@@ -242,7 +242,8 @@ impl OooCore {
     /// ```
     pub fn stats(&self, instructions: &[Instruction]) -> Result<SimStats, SimError> {
         let record = self.checks.is_some();
-        self.simulate(instructions, &mut PipelineTrace::default(), record)
+        let (stats, _) = self.simulate(instructions, &mut PipelineTrace::default(), record)?;
+        Ok(stats)
     }
 
     /// The simulation loop behind [`OooCore::run_into`] and
@@ -252,12 +253,16 @@ impl OooCore {
     /// travel with the fetch and decode queue entries, a load's issue cycle
     /// is its memory cycle minus one, and `Aux` flags loads already caught
     /// by a memory-order violation.
+    ///
+    /// Returns the statistics and the number of iterations the loop took
+    /// (a cycle, or a stretch of idle cycles jumped over), which a
+    /// successful run also adds to the `sim/steps` telemetry counter.
     fn simulate(
         &self,
         instructions: &[Instruction],
         trace: &mut PipelineTrace,
         record: bool,
-    ) -> Result<SimStats, SimError> {
+    ) -> Result<(SimStats, u64), SimError> {
         let n = instructions.len() as InstrIdx;
         let arch = &self.arch;
         let store_sets = arch.mem_dep == MemDepPolicy::StoreSets;
@@ -347,8 +352,10 @@ impl OooCore {
         // Completion times of issued instructions — the next possible
         // wakeup/commit events, used to fast-forward idle cycles.
         let mut completions = Completions::default();
+        let mut steps: u64 = 0;
 
         while commit_head < n {
+            steps += 1;
             // ---- Commit (in-order, up to width per cycle) ----
             let commit_start = commit_head;
             let mut committed_now = 0;
@@ -566,6 +573,8 @@ impl OooCore {
 
             // ---- Rename (in-order, up to width per cycle) ----
             let mut renamed_now = 0;
+            // Resources the rename head lacks in this cycle, if it stalled.
+            let mut lacking = KindList::default();
             while renamed_now < arch.width {
                 let Some(&(j, dc)) = decq.front() else { break };
                 if dc >= cycle {
@@ -600,6 +609,7 @@ impl OooCore {
                         blocked_kinds.push(kind);
                         stats.rename_stall_cycles[kind as usize] += 1;
                     }
+                    lacking = missing;
                     break; // in-order rename stalls the whole stage
                 }
 
@@ -845,35 +855,57 @@ impl OooCore {
             }
 
             // ---- Idle fast-forward ----
-            // When a cycle passed with no activity at any stage, nothing can
-            // happen until the next timed event: a fetch block arriving, a
-            // squash resolving, or an in-flight instruction completing
-            // (which drives wakeup, FU release, resource release and
-            // commit). Jump straight there; all recorded event times are
-            // unaffected because no event could fall in the gap.
+            // After a cycle in which no stage acted, with no I-cache access
+            // due next cycle, the following cycles repeat it until a timed
+            // event, so the loop jumps over them, charging each its
+            // occupancy and rename stalls. The bound depends on the front
+            // fetch block:
+            // - Back-pressure (it has arrived, the fetch queue is full): the
+            //   earliest of the next completion (which drives wakeup, FU and
+            //   IQ release, and so the queues behind them), the squash
+            //   redirect, the ROB head's commit at `max(P, replay gate) + 1`,
+            //   the watchdog deadline and the end of the cycle budget. Each
+            //   skipped cycle stalls rename on the kinds the head lacks in
+            //   this one. Exact: stepping gives the same result.
+            // - Otherwise, the arrival bound: its arrival, the redirect or
+            //   the next completion. Not exact: it can jump past the head's
+            //   commit or replay gate (the commit lands late) and past the
+            //   watchdog, and it charges the skipped cycles to every kind
+            //   rename stalled on since its last grant. Making it exact
+            //   moves cycles (ROADMAP item 3).
             let idle = committed_now == 0
                 && issued_now == 0
                 && renamed_now == 0
                 && decoded_now == 0
                 && fetched_now == 0;
             let mut advance: Cycle = 1;
+            let mut skipped_stalls = &blocked_kinds;
             if idle {
                 // A pending fetch-block creation next cycle forbids jumping.
                 let creation_pending =
                     blocks.len() < 2 && fetch_blocked_by.is_none() && fetch_idx < n;
                 if !creation_pending {
-                    let mut target = Cycle::MAX;
-                    if let Some(b) = blocks.front() {
-                        target = target.min(b.ready_at);
-                    }
+                    let mut target = completions.next_after(cycle).unwrap_or(Cycle::MAX);
                     if let Some(b) = fetch_blocked_by {
                         let pb = p[b as usize];
                         if pb != UNSET {
                             target = target.min(pb + REDIRECT_PENALTY);
                         }
                     }
-                    if let Some(pc) = completions.next_after(cycle) {
-                        target = target.min(pc);
+                    match blocks.front() {
+                        Some(b) if b.ready_at <= cycle => {
+                            let head = commit_head as usize;
+                            if p[head] != UNSET {
+                                target = target.min(p[head].max(aux[head].commit_gate) + 1);
+                            }
+                            target = target.min(last_commit_cycle.saturating_add(self.watchdog));
+                            if let Some(budget) = self.cycle_budget {
+                                target = target.min(budget.saturating_add(1));
+                            }
+                            skipped_stalls = &lacking;
+                        }
+                        Some(b) => target = target.min(b.ready_at),
+                        None => {}
                     }
                     if target != Cycle::MAX && target > cycle + 1 {
                         advance = target - cycle;
@@ -890,7 +922,7 @@ impl OooCore {
             occupancy_acc[5] += fp_rf.in_use() as u64 * advance;
             // Rename stalls persist through the skipped cycles.
             if advance > 1 {
-                for &kind in blocked_kinds.as_slice() {
+                for &kind in skipped_stalls.as_slice() {
                     stats.rename_stall_cycles[kind as usize] += advance - 1;
                 }
             }
@@ -928,7 +960,8 @@ impl OooCore {
 
         trace.set_deps(&dep_buf, &deps_at);
         trace.cycles = stats.cycles;
-        Ok(stats)
+        archx_telemetry::counter_add("sim/steps", steps);
+        Ok((stats, steps))
     }
 }
 
@@ -979,6 +1012,25 @@ const _: () = assert!(
             + crate::config::L2_HIT_CYCLES
             + crate::config::DRAM_CYCLES
 );
+const _: () = assert!(WHEEL.is_multiple_of(64));
+
+/// Calls `f(word, mask)` for each 64-bit word of a `WHEEL`-bit ring that
+/// the `len` positions from cycle `from` on (modulo `WHEEL`) touch, with
+/// the mask of those positions in it; `len` is at most `WHEEL`. A word
+/// can come twice, with disjoint masks, when the positions wrap into it.
+fn ring_words(from: Cycle, len: usize, mut f: impl FnMut(usize, u64)) {
+    debug_assert!(len <= WHEEL);
+    let mut pos = (from % WHEEL as Cycle) as usize;
+    let mut left = len;
+    while left > 0 {
+        let bit = pos % 64;
+        let take = (64 - bit).min(left);
+        let ones = if take == 64 { !0 } else { (1 << take) - 1 };
+        f(pos / 64, ones << bit);
+        left -= take;
+        pos = (pos + take) % WHEEL;
+    }
+}
 
 /// Wakeup-driven issue bookkeeping.
 ///
@@ -990,8 +1042,9 @@ const _: () = assert!(
 /// cycle and its producers' completion cycles, and a consumer with no
 /// unissued producer left is scheduled on the timed wake wheel. Each
 /// cycle, the entries due move to `ready`, which the issue stage scans in
-/// program order. Fields are crate-visible so the invariant checker
-/// ([`crate::check`]) can audit them.
+/// program order; a mask of the non-empty buckets lets a jump over many
+/// cycles visit only those. Fields are crate-visible so the invariant
+/// checker ([`crate::check`]) can audit them.
 #[derive(Debug)]
 pub(crate) struct Wakeup {
     /// First consumer slot waiting on each producer.
@@ -1006,6 +1059,8 @@ pub(crate) struct Wakeup {
     /// (through `link`) in bucket `ready_at % WHEEL`.
     bucket: [u32; WHEEL],
     link: Vec<u32>,
+    /// One bit per bucket, set while the bucket is not empty.
+    occupied: [u64; WHEEL / 64],
     /// First cycle whose bucket has not been drained yet.
     undrained: Cycle,
     /// Operand-ready, unissued instructions in program order.
@@ -1021,6 +1076,7 @@ impl Wakeup {
             ready_at: vec![0; n],
             bucket: [NO_SLOT; WHEEL],
             link: vec![NO_SLOT; n],
+            occupied: [0; WHEEL / 64],
             undrained: 0,
             ready: Vec::new(),
         }
@@ -1031,6 +1087,7 @@ impl Wakeup {
         let b = self.ready_at[j] as usize % WHEEL;
         self.link[j] = self.bucket[b];
         self.bucket[b] = j as u32;
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
     /// Enters instruction `j`, dispatched at `dp`, with source producers
@@ -1079,26 +1136,34 @@ impl Wakeup {
     }
 
     /// Moves every entry due by `cycle` into the ready list, keeping it in
-    /// program order. Drains the buckets of the cycles since the last call
-    /// (all of them after a jump of a whole turn); an entry a full turn or
-    /// more ahead stays in its bucket.
+    /// program order. Drains the non-empty buckets of the cycles since the
+    /// last call (all of them after a jump of a whole turn), in any order,
+    /// since the list is sorted after; an entry a full turn or more ahead
+    /// stays in its bucket.
     fn collect_due(&mut self, cycle: Cycle) {
         let before = self.ready.len();
         let span = (cycle + 1 - self.undrained).min(WHEEL as Cycle);
-        for t in cycle + 1 - span..=cycle {
-            let b = t as usize % WHEEL;
-            let mut j = std::mem::replace(&mut self.bucket[b], NO_SLOT);
-            while j != NO_SLOT {
-                let next = self.link[j as usize];
-                if self.ready_at[j as usize] <= cycle {
-                    self.ready.push(j);
-                } else {
-                    self.link[j as usize] = self.bucket[b];
-                    self.bucket[b] = j;
+        ring_words(cycle + 1 - span, span as usize, |w, mask| {
+            let mut due = self.occupied[w] & mask;
+            while due != 0 {
+                let b = 64 * w + due.trailing_zeros() as usize;
+                due &= due - 1;
+                let mut j = std::mem::replace(&mut self.bucket[b], NO_SLOT);
+                while j != NO_SLOT {
+                    let next = self.link[j as usize];
+                    if self.ready_at[j as usize] <= cycle {
+                        self.ready.push(j);
+                    } else {
+                        self.link[j as usize] = self.bucket[b];
+                        self.bucket[b] = j;
+                    }
+                    j = next;
                 }
-                j = next;
+                if self.bucket[b] == NO_SLOT {
+                    self.occupied[w] &= !(1 << (b % 64));
+                }
             }
-        }
+        });
         self.undrained = cycle + 1;
         if self.ready.len() != before {
             self.ready.sort_unstable();
@@ -1140,16 +1205,10 @@ impl Completions {
         self.bits[b / 64] |= 1 << (b % 64);
     }
 
-    /// Clears the bits of every cycle up to `cycle`.
+    /// Clears the bits of every cycle up to `cycle`, a word at a time.
     fn forget_through(&mut self, cycle: Cycle) {
-        if cycle - self.forgotten >= WHEEL as Cycle {
-            self.bits = [0; WHEEL / 64];
-        } else {
-            for t in self.forgotten + 1..=cycle {
-                let b = t as usize % WHEEL;
-                self.bits[b / 64] &= !(1 << (b % 64));
-            }
-        }
+        let len = (cycle - self.forgotten).min(WHEEL as Cycle) as usize;
+        ring_words(self.forgotten + 1, len, |w, mask| self.bits[w] &= !mask);
         self.forgotten = cycle;
     }
 
@@ -1402,6 +1461,46 @@ mod tests {
         assert_eq!(w.ready, [0]);
         w.collect_due(3 * turn);
         assert_eq!(w.ready, [0, 2]);
+    }
+
+    #[test]
+    fn ring_words_cover_each_position_once() {
+        for (from, len) in [
+            (0, 0),
+            (5, 1),
+            (60, 8),
+            (200, 120),
+            (1_000, WHEEL),
+            (63, WHEEL),
+        ] {
+            let mut seen = [0u64; WHEEL / 64];
+            ring_words(from, len, |w, mask| {
+                assert_eq!(seen[w] & mask, 0, "position visited twice");
+                seen[w] |= mask;
+            });
+            let want: Vec<usize> = (0..len).map(|k| (from as usize + k) % WHEEL).collect();
+            for b in 0..WHEEL {
+                let set = seen[b / 64] >> (b % 64) & 1 == 1;
+                assert_eq!(set, want.contains(&b), "from {from}, len {len}, bucket {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn back_pressure_stalls_are_jumped_not_stepped() {
+        // Dependent loads that miss to DRAM fill the back end, so the
+        // fetched block waits on a full fetch queue for most of the run.
+        let trace = trace_gen::pointer_chase(3_000, 4 << 20, 3);
+        let core = OooCore::new(MicroArch::baseline());
+        let (stats, steps) = core
+            .simulate(&trace, &mut PipelineTrace::default(), false)
+            .expect("simulates");
+        assert!(stats.cycles > 100_000, "the trace must be memory-bound");
+        assert!(
+            steps * 10 <= stats.cycles,
+            "{steps} steps for {} cycles",
+            stats.cycles
+        );
     }
 
     #[test]

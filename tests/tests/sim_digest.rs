@@ -10,17 +10,34 @@
 //! display names for enums), so it is independent of struct layout and
 //! of how the record stores its dependence lists.
 //!
+//! A second digest, `EXPECTED_WITH_LIMITS`, runs the same inputs under
+//! lowered deadlock watchdogs and cycle budgets and hashes each error by
+//! its payload, so the cycle at which a watchdog fires and the progress a
+//! budget cuts off are pinned too.
+//!
 //! A change to the simulator that is meant to be result-preserving must
-//! leave `EXPECTED` unchanged. A change that is meant to alter timing
-//! updates it and says so.
+//! leave both constants unchanged. A change that is meant to alter timing
+//! updates them and says so.
 
 use archexplorer::dse::DesignSpace;
 use archexplorer::sim::config::{MemDepPolicy, ReplPolicy};
-use archexplorer::sim::{InstrEvents, OooCore, PipelineTrace, SimResult, SimStats};
+use archexplorer::sim::{InstrEvents, OooCore, PipelineTrace, SimError, SimResult, SimStats};
 use archx_integration::sim_inputs::{designs, latin_hypercube, traces};
 
 /// The digest of the `sim_inputs` designs and traces.
 const EXPECTED: u64 = 0xad4f_8284_ba38_4f33;
+
+/// The digest of the same inputs under every pair of `WATCHDOGS` and
+/// `BUDGETS`.
+const EXPECTED_WITH_LIMITS: u64 = 0xd1de_bc4d_c776_aaf1;
+
+/// Lowered deadlock watchdogs (cycles without a commit): below, near and
+/// above a DRAM miss.
+const WATCHDOGS: [u64; 3] = [40, 150, 400];
+
+/// Cycle budgets: one that cuts every trace short, one that only the slow
+/// designs exceed.
+const BUDGETS: [u64; 2] = [3_000, 20_000];
 
 struct Fnv(u64);
 
@@ -186,6 +203,69 @@ fn digest() -> (u64, u64) {
         }
     }
     (h.0, violations)
+}
+
+/// The digest under limits, with the number of runs that ended in a
+/// deadlock and in an exceeded budget (so both error paths are known to be
+/// exercised). An `Ok` result is hashed as in [`digest`], an error by its
+/// payload.
+fn digest_with_limits() -> (u64, usize, usize) {
+    let traces = traces();
+    let mut h = Fnv::new();
+    let (mut deadlocks, mut budgets) = (0, 0);
+    for arch in designs() {
+        for watchdog in WATCHDOGS {
+            for budget in BUDGETS {
+                let core = OooCore::new(arch)
+                    .with_deadlock_watchdog(watchdog)
+                    .with_cycle_budget(budget);
+                for trace in &traces {
+                    match core.run(trace) {
+                        Ok(r) => {
+                            h.u64(0);
+                            hash_result(&mut h, &r);
+                        }
+                        Err(SimError::Deadlock {
+                            cycle,
+                            commit_head,
+                            watchdog,
+                        }) => {
+                            deadlocks += 1;
+                            h.u64(1);
+                            h.u64(cycle);
+                            h.u64(u64::from(commit_head));
+                            h.u64(watchdog);
+                        }
+                        Err(SimError::CycleBudgetExceeded {
+                            budget,
+                            committed,
+                            total,
+                        }) => {
+                            budgets += 1;
+                            h.u64(2);
+                            h.u64(budget);
+                            h.u64(committed);
+                            h.u64(total);
+                        }
+                        Err(e) => panic!("unexpected simulation error: {e}"),
+                    }
+                }
+            }
+        }
+    }
+    (h.0, deadlocks, budgets)
+}
+
+#[test]
+fn simulator_digest_under_limits_is_unchanged() {
+    let (got, deadlocks, budgets) = digest_with_limits();
+    assert!(deadlocks > 0, "no run hit the deadlock watchdog");
+    assert!(budgets > 0, "no run exceeded its cycle budget");
+    assert_eq!(
+        got, EXPECTED_WITH_LIMITS,
+        "simulator digest under limits changed: got {got:#018x}, \
+         expected {EXPECTED_WITH_LIMITS:#018x}"
+    );
 }
 
 #[test]
