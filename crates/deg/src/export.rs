@@ -1,5 +1,4 @@
-//! Graph export for visualisation and external analysis: Graphviz DOT and
-//! a compact JSON-lines edge dump.
+//! Graph export for visualisation: Graphviz DOT.
 
 use crate::critical::CriticalPath;
 use crate::graph::{Deg, EdgeKind};
@@ -92,25 +91,6 @@ pub fn to_dot(deg: &Deg, path: Option<&CriticalPath>, opts: &DotOptions) -> Stri
     out
 }
 
-/// Dumps edges as JSON lines: one object per edge with stage-qualified
-/// endpoints, kind, and measured interval.
-pub fn to_jsonl(deg: &Deg) -> String {
-    let mut out = String::new();
-    for e in deg.edges() {
-        let (fi, fs) = deg.locate(e.from);
-        let (ti, ts) = deg.locate(e.to);
-        let _ = writeln!(
-            out,
-            "{{\"from\":{{\"instr\":{fi},\"stage\":\"{fs}\",\"t\":{}}},\"to\":{{\"instr\":{ti},\"stage\":\"{ts}\",\"t\":{}}},\"kind\":\"{:?}\",\"interval\":{}}}",
-            deg.time(e.from),
-            deg.time(e.to),
-            e.kind,
-            deg.interval(e)
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,16 +133,5 @@ mod tests {
         );
         assert!(dot.contains("I1"));
         assert!(!dot.contains("(I2)"));
-    }
-
-    #[test]
-    fn jsonl_has_one_line_per_edge() {
-        let deg = sample();
-        let jsonl = to_jsonl(&deg);
-        assert_eq!(jsonl.lines().count(), deg.edge_count());
-        for line in jsonl.lines().take(5) {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-            assert!(line.contains("\"interval\":"));
-        }
     }
 }

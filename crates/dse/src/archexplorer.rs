@@ -63,21 +63,23 @@ impl Objective {
     }
 }
 
+/// Steps without PPA-trade-off improvement before a restart.
+const PLATEAU_PATIENCE: usize = 5;
+
+/// Per-parameter mutation probability when perturbing the incumbent.
+const MUTATE_PROB: f64 = 0.3;
+
 /// Tuning knobs of the ArchExplorer loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchExplorerOptions {
     /// Reassignment policy.
     pub reassign: ReassignOptions,
-    /// Steps without PPA-trade-off improvement before a restart.
-    pub plateau_patience: usize,
     /// Minimum relative trade-off improvement for a freezable parameter's
     /// growth to count as useful (the cache/BP freeze rule).
     pub freeze_threshold: f64,
     /// Probability that a restart perturbs the best design found so far
     /// instead of sampling uniformly (intensification vs exploration).
     pub intensify_prob: f64,
-    /// Per-parameter mutation probability when perturbing the incumbent.
-    pub mutate_prob: f64,
     /// RNG seed for initial designs.
     pub seed: u64,
     /// What each trajectory climbs.
@@ -88,10 +90,8 @@ impl Default for ArchExplorerOptions {
     fn default() -> Self {
         ArchExplorerOptions {
             reassign: ReassignOptions::default(),
-            plateau_patience: 5,
             freeze_threshold: 0.01,
             intensify_prob: 0.5,
-            mutate_prob: 0.3,
             seed: 0xA5C3,
             objective: Objective::Tradeoff,
         }
@@ -99,11 +99,11 @@ impl Default for ArchExplorerOptions {
 }
 
 /// Perturbs `best` by moving each parameter one candidate step up or down
-/// with probability `mutate_prob`.
-fn perturb(space: &DesignSpace, best: &MicroArch, mutate_prob: f64, rng: &mut StdRng) -> MicroArch {
+/// with probability [`MUTATE_PROB`].
+fn perturb(space: &DesignSpace, best: &MicroArch, rng: &mut StdRng) -> MicroArch {
     let mut arch = *best;
     for &p in &ParamId::ALL {
-        if rng.gen_bool(mutate_prob) {
+        if rng.gen_bool(MUTATE_PROB) {
             let v = p.get(&arch);
             let next = if rng.gen_bool(0.5) {
                 space.next_larger(p, v)
@@ -171,9 +171,7 @@ where
         // Freezes persist across rounds — they encode workload properties,
         // not start-point properties.
         let mut current = match &global_best {
-            Some((_, best)) if rng.gen_bool(opts.intensify_prob) => {
-                perturb(space, best, opts.mutate_prob, &mut rng)
-            }
+            Some((_, best)) if rng.gen_bool(opts.intensify_prob) => perturb(space, best, &mut rng),
             _ => space.random(&mut rng),
         };
         // A quarantined start design scores as non-Pareto (it never
@@ -236,7 +234,7 @@ where
                 stale = 0;
             } else {
                 stale += 1;
-                if stale >= opts.plateau_patience {
+                if stale >= PLATEAU_PATIENCE {
                     continue 'outer; // plateau: restart
                 }
             }

@@ -6,37 +6,24 @@
 //! random candidate pool and the top predictions are simulated and added
 //! to the training set.
 
+use super::{screen, Schedule};
 use crate::eval::{Evaluator, RunLog};
 use crate::ml::AdaBoostRt;
 use crate::space::DesignSpace;
-use archx_sim::MicroArch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
-/// Tuning knobs for the AdaBoost baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaBoostOptions {
-    /// Random designs simulated before the first model fit.
-    pub init_designs: usize,
-    /// Candidate pool screened per round.
-    pub pool: usize,
-    /// Designs simulated per round.
-    pub batch: usize,
-    /// Boosting rounds per fit.
-    pub rounds: usize,
-}
+/// Random designs simulated before the first model fit.
+const INIT_DESIGNS: usize = 8;
 
-impl Default for AdaBoostOptions {
-    fn default() -> Self {
-        AdaBoostOptions {
-            init_designs: 8,
-            pool: 512,
-            batch: 4,
-            rounds: 25,
-        }
-    }
-}
+/// Boosting rounds per fit.
+const ROUNDS: usize = 25;
+
+const SCHEDULE: Schedule = Schedule {
+    method: "AdaBoost",
+    pool: 512,
+    batch: 4,
+};
 
 /// Runs the AdaBoost.RT DSE until the budget is exhausted.
 pub fn run_adaboost(
@@ -44,58 +31,21 @@ pub fn run_adaboost(
     evaluator: &Evaluator,
     sim_budget: u64,
     seed: u64,
-    opts: &AdaBoostOptions,
 ) -> RunLog {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = RunLog::new("AdaBoost");
-    let mut seen: HashSet<MicroArch> = HashSet::new();
-    let mut x: Vec<Vec<f64>> = Vec::new();
-    let mut y: Vec<f64> = Vec::new();
-
-    let simulate = |arch: MicroArch,
-                    log: &mut RunLog,
-                    x: &mut Vec<Vec<f64>>,
-                    y: &mut Vec<f64>,
-                    seen: &mut HashSet<MicroArch>| {
-        if !seen.insert(arch) {
-            return;
-        }
-        // A quarantined design trains nothing; its budget is spent.
-        let Ok(e) = evaluator.evaluate(&arch) else {
-            return;
-        };
-        log.push(arch, e.ppa, evaluator.sim_count());
-        x.push(space.features(&arch));
-        y.push(e.ppa.tradeoff());
-    };
-
-    for _ in 0..opts.init_designs {
-        if evaluator.sim_count() >= sim_budget {
-            return log;
-        }
-        let arch = space.random(&mut rng);
-        simulate(arch, &mut log, &mut x, &mut y, &mut seen);
-    }
-
-    while evaluator.sim_count() < sim_budget {
-        let model = AdaBoostRt::fit(&x, &y, opts.rounds, 2, 0.05);
-        // Screen a pool, keep the best-predicted unseen designs.
-        let mut scored: Vec<(f64, MicroArch)> = (0..opts.pool)
-            .map(|_| {
-                let a = space.random(&mut rng);
-                (model.predict(&space.features(&a)), a)
-            })
-            .filter(|(_, a)| !seen.contains(a))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite predictions"));
-        for (_, arch) in scored.into_iter().take(opts.batch) {
-            if evaluator.sim_count() >= sim_budget {
-                break;
-            }
-            simulate(arch, &mut log, &mut x, &mut y, &mut seen);
-        }
-    }
-    log
+    let initial = (0..INIT_DESIGNS).map(|_| space.random(&mut rng)).collect();
+    screen(
+        space,
+        evaluator,
+        sim_budget,
+        rng,
+        initial,
+        &SCHEDULE,
+        |x, y| {
+            let model = AdaBoostRt::fit(x, y, ROUNDS, 2, 0.05);
+            Some(move |f: &[f64]| model.predict(f))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -114,7 +64,7 @@ mod tests {
             .seed(1)
             .threads(1)
             .build();
-        let log = run_adaboost(&space, &ev, 30, 7, &AdaBoostOptions::default());
+        let log = run_adaboost(&space, &ev, 30, 7);
         assert!(ev.sim_count() >= 30);
         assert!(!log.records.is_empty());
         // Sanity: the curve exists and is monotone.

@@ -2,37 +2,26 @@
 //! Gaussian-process surrogate with diversity-aware initial sampling and an
 //! expected-improvement acquisition, batched per round.
 
+use super::{screen, Schedule};
 use crate::eval::{Evaluator, RunLog};
 use crate::ml::GaussianProcess;
 use crate::space::DesignSpace;
 use archx_sim::MicroArch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
-/// Tuning knobs for the BOOM-Explorer baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoomOptions {
-    /// Initial designs chosen by maximin diversity sampling.
-    pub init_designs: usize,
-    /// Pool size for both initial sampling and acquisition.
-    pub pool: usize,
-    /// Designs simulated per acquisition round.
-    pub batch: usize,
-    /// GP observation noise.
-    pub noise: f64,
-}
+/// Initial designs chosen by maximin diversity sampling.
+const INIT_DESIGNS: usize = 8;
 
-impl Default for BoomOptions {
-    fn default() -> Self {
-        BoomOptions {
-            init_designs: 8,
-            pool: 512,
-            batch: 2,
-            noise: 1e-4,
-        }
-    }
-}
+/// GP observation noise.
+const NOISE: f64 = 1e-4;
+
+/// The pool serves both the initial sampling and each acquisition round.
+const SCHEDULE: Schedule = Schedule {
+    method: "BOOM-Explorer",
+    pool: 512,
+    batch: 2,
+};
 
 /// Maximin (farthest-point) selection of `k` diverse designs from a pool —
 /// the stand-in for BOOM-Explorer's clustered initial sampling.
@@ -72,72 +61,31 @@ pub fn run_boom_explorer(
     evaluator: &Evaluator,
     sim_budget: u64,
     seed: u64,
-    opts: &BoomOptions,
 ) -> RunLog {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = RunLog::new("BOOM-Explorer");
-    let mut seen: HashSet<MicroArch> = HashSet::new();
-    let mut x: Vec<Vec<f64>> = Vec::new();
-    let mut y: Vec<f64> = Vec::new();
-
-    let simulate = |arch: MicroArch,
-                    log: &mut RunLog,
-                    x: &mut Vec<Vec<f64>>,
-                    y: &mut Vec<f64>,
-                    seen: &mut HashSet<MicroArch>| {
-        if !seen.insert(arch) {
-            return;
-        }
-        // A quarantined design trains nothing; its budget is spent.
-        let Ok(e) = evaluator.evaluate(&arch) else {
-            return;
-        };
-        log.push(arch, e.ppa, evaluator.sim_count());
-        x.push(space.features(&arch));
-        y.push(e.ppa.tradeoff());
-    };
-
     // Diversity-aware initialisation.
-    let pool: Vec<MicroArch> = (0..opts.pool).map(|_| space.random(&mut rng)).collect();
-    for arch in maximin_sample(space, &pool, opts.init_designs) {
-        if evaluator.sim_count() >= sim_budget {
-            return log;
-        }
-        simulate(arch, &mut log, &mut x, &mut y, &mut seen);
-    }
-
-    while evaluator.sim_count() < sim_budget {
-        let gp = GaussianProcess::fit(x.clone(), &y, opts.noise);
-        let best = y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut scored: Vec<(f64, MicroArch)> = (0..opts.pool)
-            .map(|_| {
-                let a = space.random(&mut rng);
-                (gp.expected_improvement(&space.features(&a), best), a)
-            })
-            .filter(|(_, a)| !seen.contains(a))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite EI"));
-        let mut advanced = false;
-        for (_, arch) in scored.into_iter().take(opts.batch) {
-            if evaluator.sim_count() >= sim_budget {
-                break;
-            }
-            simulate(arch, &mut log, &mut x, &mut y, &mut seen);
-            advanced = true;
-        }
-        if !advanced {
-            // Degenerate pool (all seen): fall back to random.
-            let arch = space.random(&mut rng);
-            simulate(arch, &mut log, &mut x, &mut y, &mut seen);
-        }
-    }
-    log
+    let pool: Vec<MicroArch> = (0..SCHEDULE.pool).map(|_| space.random(&mut rng)).collect();
+    let initial = maximin_sample(space, &pool, INIT_DESIGNS);
+    screen(
+        space,
+        evaluator,
+        sim_budget,
+        rng,
+        initial,
+        &SCHEDULE,
+        |x, y| {
+            let gp = GaussianProcess::fit(x.to_vec(), y, NOISE);
+            let best = y.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            Some(move |f: &[f64]| gp.expected_improvement(f, best))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use archx_workloads::spec06_suite;
+    use std::collections::HashSet;
 
     #[test]
     fn maximin_prefers_spread() {
@@ -158,7 +106,7 @@ mod tests {
             .seed(1)
             .threads(1)
             .build();
-        let log = run_boom_explorer(&DesignSpace::table4(), &ev, 24, 5, &BoomOptions::default());
+        let log = run_boom_explorer(&DesignSpace::table4(), &ev, 24, 5);
         assert!(ev.sim_count() >= 24);
         assert!(log.records.len() >= 12);
         assert_eq!(log.method, "BOOM-Explorer");

@@ -4,40 +4,30 @@
 //! tournament against the incumbent set and simulates the designs ranked
 //! most promising.
 
+use super::{screen, Schedule};
 use crate::eval::{Evaluator, RunLog};
 use crate::ml::RankBoost;
 use crate::space::DesignSpace;
-use archx_sim::MicroArch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
-/// Tuning knobs for the ArchRanker baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RankerOptions {
-    /// Random designs simulated before the first fit.
-    pub init_designs: usize,
-    /// Candidate pool per round.
-    pub pool: usize,
-    /// Designs simulated per round.
-    pub batch: usize,
-    /// Boosting rounds of the ranking model.
-    pub rounds: usize,
-    /// Incumbents each candidate is compared against.
-    pub tournament: usize,
-}
+/// Random designs simulated before the first fit.
+const INIT_DESIGNS: usize = 10;
 
-impl Default for RankerOptions {
-    fn default() -> Self {
-        RankerOptions {
-            init_designs: 10,
-            pool: 256,
-            batch: 4,
-            rounds: 20,
-            tournament: 8,
-        }
-    }
-}
+/// Boosting rounds of the ranking model.
+const ROUNDS: usize = 20;
+
+/// Incumbents each candidate is compared against.
+const TOURNAMENT: usize = 8;
+
+/// Ordered pairs the model trains on, to keep fitting cheap on long runs.
+const MAX_PAIRS: usize = 2_000;
+
+const SCHEDULE: Schedule = Schedule {
+    method: "ArchRanker",
+    pool: 256,
+    batch: 4,
+};
 
 /// Runs the pairwise-ranking DSE until the budget is exhausted.
 pub fn run_archranker(
@@ -45,85 +35,48 @@ pub fn run_archranker(
     evaluator: &Evaluator,
     sim_budget: u64,
     seed: u64,
-    opts: &RankerOptions,
 ) -> RunLog {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = RunLog::new("ArchRanker");
-    let mut seen: HashSet<MicroArch> = HashSet::new();
-    // (features, tradeoff) of every simulated design.
-    let mut evaluated: Vec<(Vec<f64>, f64)> = Vec::new();
-
-    let simulate = |arch: MicroArch,
-                    log: &mut RunLog,
-                    evaluated: &mut Vec<(Vec<f64>, f64)>,
-                    seen: &mut HashSet<MicroArch>| {
-        if !seen.insert(arch) {
-            return;
-        }
-        // A quarantined design trains nothing; its budget is spent.
-        let Ok(e) = evaluator.evaluate(&arch) else {
-            return;
-        };
-        log.push(arch, e.ppa, evaluator.sim_count());
-        evaluated.push((space.features(&arch), e.ppa.tradeoff()));
-    };
-
-    for _ in 0..opts.init_designs {
-        if evaluator.sim_count() >= sim_budget {
-            return log;
-        }
-        let arch = space.random(&mut rng);
-        simulate(arch, &mut log, &mut evaluated, &mut seen);
-    }
-
-    while evaluator.sim_count() < sim_budget {
-        // All ordered pairs with distinct outcomes become training data.
-        let mut pairs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-        for i in 0..evaluated.len() {
-            for j in i + 1..evaluated.len() {
-                let (fi, ti) = &evaluated[i];
-                let (fj, tj) = &evaluated[j];
-                if ti > tj {
-                    pairs.push((fi.clone(), fj.clone()));
-                } else if tj > ti {
-                    pairs.push((fj.clone(), fi.clone()));
+    let initial = (0..INIT_DESIGNS).map(|_| space.random(&mut rng)).collect();
+    screen(
+        space,
+        evaluator,
+        sim_budget,
+        rng,
+        initial,
+        &SCHEDULE,
+        |x, y| {
+            // All ordered pairs with distinct outcomes become training data.
+            let mut pairs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
+            for i in 0..y.len() {
+                for j in i + 1..y.len() {
+                    if y[i] > y[j] {
+                        pairs.push((x[i].clone(), x[j].clone()));
+                    } else if y[j] > y[i] {
+                        pairs.push((x[j].clone(), x[i].clone()));
+                    }
                 }
             }
-        }
-        if pairs.is_empty() {
-            let arch = space.random(&mut rng);
-            simulate(arch, &mut log, &mut evaluated, &mut seen);
-            continue;
-        }
-        // Cap pair count to keep fitting cheap on long runs.
-        pairs.truncate(2_000);
-        let ranker = RankBoost::fit(&pairs, opts.rounds);
-
-        // Rank candidates by wins against the best incumbents.
-        let mut incumbents: Vec<&(Vec<f64>, f64)> = evaluated.iter().collect();
-        incumbents.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite tradeoffs"));
-        incumbents.truncate(opts.tournament);
-        let mut scored: Vec<(f64, MicroArch)> = (0..opts.pool)
-            .map(|_| {
-                let a = space.random(&mut rng);
-                let f = space.features(&a);
-                let wins: f64 = incumbents
-                    .iter()
-                    .map(|(inc, _)| ranker.compare(&f, inc))
-                    .sum();
-                (wins, a)
-            })
-            .filter(|(_, a)| !seen.contains(a))
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-        for (_, arch) in scored.into_iter().take(opts.batch) {
-            if evaluator.sim_count() >= sim_budget {
-                break;
+            if pairs.is_empty() {
+                return None;
             }
-            simulate(arch, &mut log, &mut evaluated, &mut seen);
-        }
-    }
-    log
+            pairs.truncate(MAX_PAIRS);
+            let ranker = RankBoost::fit(&pairs, ROUNDS);
+            // Rank candidates by wins against the best incumbents.
+            let mut order: Vec<usize> = (0..y.len()).collect();
+            order.sort_by(|&a, &b| y[b].partial_cmp(&y[a]).expect("finite tradeoffs"));
+            let incumbents: Vec<Vec<f64>> = order[..order.len().min(TOURNAMENT)]
+                .iter()
+                .map(|&i| x[i].clone())
+                .collect();
+            Some(move |f: &[f64]| {
+                incumbents
+                    .iter()
+                    .map(|inc| ranker.compare(f, inc))
+                    .sum::<f64>()
+            })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -139,13 +92,7 @@ mod tests {
             .seed(1)
             .threads(1)
             .build();
-        let log = run_archranker(
-            &DesignSpace::table4(),
-            &ev,
-            26,
-            3,
-            &RankerOptions::default(),
-        );
+        let log = run_archranker(&DesignSpace::table4(), &ev, 26, 3);
         assert!(ev.sim_count() >= 26);
         assert!(log.records.len() >= 13);
         assert_eq!(log.method, "ArchRanker");

@@ -279,92 +279,31 @@ fn header_to_json(fp: &JournalFingerprint) -> JsonValue {
     ])
 }
 
+/// Compares the parsed header key by key against the header `fp` would
+/// write and reports the first key that differs, both values as JSON.
 fn check_header(header: &JsonValue, fp: &JournalFingerprint) -> Result<(), JournalError> {
-    let mismatch = |field: &str, expected: String, found: String| JournalError::Mismatch {
-        field: field.to_string(),
-        expected,
-        found,
-    };
     if header.get("archx_journal").is_none() {
         return Err(JournalError::Corrupt {
             line: 1,
             message: "not an archx journal (missing `archx_journal` field)".into(),
         });
     }
-    let found_workloads: Vec<String> = match header.get("workloads") {
-        Some(JsonValue::Arr(items)) => items
-            .iter()
-            .filter_map(|v| match v {
-                JsonValue::Str(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
+    let JsonValue::Obj(fields) = header_to_json(fp) else {
+        unreachable!("a journal header is a JSON object");
     };
-    if found_workloads != fp.workloads {
-        return Err(mismatch(
-            "workloads",
-            format!("{:?}", fp.workloads),
-            format!("{found_workloads:?}"),
-        ));
+    match fields
+        .into_iter()
+        .find(|(key, want)| header.get(key) != Some(want))
+    {
+        None => Ok(()),
+        Some((field, want)) => Err(JournalError::Mismatch {
+            expected: want.render(),
+            found: header
+                .get(&field)
+                .map_or_else(|| "missing".to_string(), JsonValue::render),
+            field,
+        }),
     }
-    let int_field = |key: &str| -> Option<u64> {
-        match header.get(key) {
-            Some(JsonValue::Int(n)) => Some(*n),
-            _ => None,
-        }
-    };
-    let checks: [(&str, Option<u64>, Option<u64>); 3] = [
-        (
-            "instrs_per_workload",
-            int_field("instrs_per_workload"),
-            Some(fp.instrs_per_workload as u64),
-        ),
-        ("trace_seed", int_field("trace_seed"), Some(fp.trace_seed)),
-        (
-            "deadlock_watchdog",
-            int_field("deadlock_watchdog"),
-            Some(fp.deadlock_watchdog),
-        ),
-    ];
-    for (field, found, expected) in checks {
-        if found != expected {
-            return Err(mismatch(
-                field,
-                format!("{expected:?}"),
-                format!("{found:?}"),
-            ));
-        }
-    }
-    let found_budget = match header.get("cycle_budget") {
-        Some(JsonValue::Int(n)) => Some(*n),
-        _ => None,
-    };
-    if found_budget != fp.cycle_budget {
-        return Err(mismatch(
-            "cycle_budget",
-            format!("{:?}", fp.cycle_budget),
-            format!("{found_budget:?}"),
-        ));
-    }
-    let found_extra: Vec<(String, String)> = match header.get("extra") {
-        Some(JsonValue::Obj(pairs)) => pairs
-            .iter()
-            .filter_map(|(k, v)| match v {
-                JsonValue::Str(s) => Some((k.clone(), s.clone())),
-                _ => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    if found_extra != fp.extra {
-        return Err(mismatch(
-            "extra",
-            format!("{:?}", fp.extra),
-            format!("{found_extra:?}"),
-        ));
-    }
-    Ok(())
 }
 
 fn analysis_name(a: Analysis) -> &'static str {
@@ -709,11 +648,32 @@ mod tests {
         {
             Journal::create(&path, &fp()).unwrap();
         }
-        let mut other = fp();
-        other.trace_seed = 8;
-        match Journal::resume(&path, &other) {
-            Err(JournalError::Mismatch { field, .. }) => assert_eq!(field, "trace_seed"),
-            other => panic!("expected mismatch, got {other:?}"),
+        let mut seed = fp();
+        seed.trace_seed = 8;
+        let mut method = fp();
+        method.extra = vec![("method".into(), "AdaBoost".into())];
+        let cases = [
+            (seed, "trace_seed", "8", "7"),
+            (
+                method,
+                "extra",
+                r#"{"method":"AdaBoost"}"#,
+                r#"{"method":"Random"}"#,
+            ),
+        ];
+        for (other, want_field, want_expected, want_found) in cases {
+            match Journal::resume(&path, &other) {
+                Err(JournalError::Mismatch {
+                    field,
+                    expected,
+                    found,
+                }) => {
+                    assert_eq!(field, want_field);
+                    assert_eq!(expected, want_expected);
+                    assert_eq!(found, want_found);
+                }
+                other => panic!("expected mismatch, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -74,15 +74,18 @@ pub fn freezable(param: ParamId) -> bool {
     )
 }
 
+/// How many top-ranked bottlenecks to grow per step.
+const GROW_TOP_K: usize = 2;
+
+/// Contribution below which a resource counts as redundant.
+const SHRINK_THRESHOLD: f64 = 0.002;
+
+/// How many redundant resources to shrink per step.
+const SHRINK_MAX: usize = 5;
+
 /// Reassignment policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReassignOptions {
-    /// How many top-ranked bottlenecks to grow per step.
-    pub grow_top_k: usize,
-    /// Contribution below which a resource counts as redundant.
-    pub shrink_threshold: f64,
-    /// How many redundant resources to shrink per step.
-    pub shrink_max: usize,
     /// Extra candidate rungs to climb per 10% of contribution (dominant
     /// bottlenecks take bigger steps; capped at 3 rungs per move).
     pub rungs_per_contribution: f64,
@@ -95,9 +98,6 @@ pub struct ReassignOptions {
 impl Default for ReassignOptions {
     fn default() -> Self {
         ReassignOptions {
-            grow_top_k: 2,
-            shrink_threshold: 0.002,
-            shrink_max: 5,
             rungs_per_contribution: 10.0,
             cost_aware_shrink: true,
         }
@@ -132,10 +132,10 @@ pub fn reassign(
 
     // Grow the top-ranked reassignable bottlenecks.
     for (source, contribution) in report.ranked() {
-        if grown.len() >= opts.grow_top_k {
+        if grown.len() >= GROW_TOP_K {
             break;
         }
-        if !source.is_reassignable() || contribution <= opts.shrink_threshold {
+        if !source.is_reassignable() || contribution <= SHRINK_THRESHOLD {
             continue;
         }
         let rungs = (1.0 + contribution * opts.rungs_per_contribution).min(4.0) as usize;
@@ -181,15 +181,15 @@ pub fn reassign(
             // Benefit of shrinking minus (bounded) performance risk.
             let score = saving - 0.5 * contribution;
             let limit = if opts.cost_aware_shrink {
-                opts.shrink_threshold.max(2.0 * saving)
+                SHRINK_THRESHOLD.max(2.0 * saving)
             } else {
-                opts.shrink_threshold
+                SHRINK_THRESHOLD
             };
             (contribution <= limit).then_some((score, p))
         })
         .collect();
     shrinkable.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-    for (_, param) in shrinkable.into_iter().take(opts.shrink_max) {
+    for (_, param) in shrinkable.into_iter().take(SHRINK_MAX) {
         if let Some(v) = space.next_smaller(param, param.get(&next)) {
             param.set(&mut next, v);
             shrunk.push(param);
