@@ -26,7 +26,7 @@ fn main() {
     let r = OooCore::new(arch)
         .run(&workload.generate(instrs, 1))
         .expect("simulates");
-    let model = PowerModel::default();
+    let model = PowerModel;
     let ppa = model.evaluate(&arch, &r.stats);
     let mut breakdown = model.power_breakdown(&arch, &r.stats);
     breakdown.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite watts"));

@@ -73,5 +73,6 @@ fn main() {
     }
     println!("{}", t.to_text());
     println!("expected: the dominant source shifts window to window as the phases change —");
-    println!("FP/unit pressure first, D-cache in the middle, branch squashes at the end.");
+    println!("ROB/FP-unit pressure first, IntRF held by the pointer-chasing loads in the");
+    println!("middle, branch squashes at the end.");
 }

@@ -89,14 +89,24 @@ fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, jobs: usi
         methods.len(),
         jobs
     );
-    let campaign = CampaignRunner::new()
+    let specs: Vec<RunSpec> = methods
+        .iter()
+        .map(|&method| RunSpec {
+            method,
+            seed: template.trace_seed(),
+        })
+        .collect();
+    let logs = CampaignRunner::new()
         .jobs(jobs)
-        .run(&methods, &space, template, sim_budget)
-        .expect("no per-run setup to fail");
+        .run_specs(&specs, &space, template, sim_budget)
+        .expect("no journal to fail");
 
     let r = RefPoint::default();
     let step = (sim_budget / 12).max(1);
-    let curves = campaign.curves(&r, step);
+    let curves: Vec<(String, Vec<(u64, f64)>)> = logs
+        .iter()
+        .map(|log| (log.method.clone(), log.hypervolume_curve(&r, step)))
+        .collect();
     let mut header = vec!["sims".to_string()];
     header.extend(curves.iter().map(|(m, _)| m.clone()));
     let mut t = Table::new(header);

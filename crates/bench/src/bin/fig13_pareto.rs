@@ -32,13 +32,20 @@ fn main() {
         "[SPEC06] running {} methods x {sim_budget} sims...",
         methods.len()
     );
-    let campaign = CampaignRunner::new()
-        .run(&methods, &DesignSpace::table4(), &template, sim_budget)
-        .expect("no per-run setup to fail");
+    let specs: Vec<RunSpec> = methods
+        .iter()
+        .map(|&method| RunSpec {
+            method,
+            seed: template.trace_seed(),
+        })
+        .collect();
+    let logs = CampaignRunner::new()
+        .run_specs(&specs, &DesignSpace::table4(), &template, sim_budget)
+        .expect("no journal to fail");
 
     println!("Figure 13 data: Pareto-frontier points per method (CSV)");
     let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);
-    for log in &campaign.logs {
+    for log in &logs {
         for (_, ppa) in log.frontier() {
             t.row([
                 log.method.clone(),
@@ -54,7 +61,7 @@ fn main() {
     println!("PPA trade-off distribution of Pareto designs:");
     let mut s = Table::new(["method", "n", "mean", "min", "max"]);
     let mut means: Vec<(String, f64)> = Vec::new();
-    for log in &campaign.logs {
+    for log in &logs {
         let tr: Vec<f64> = log.frontier().iter().map(|(_, p)| p.tradeoff()).collect();
         let mean = tr.iter().sum::<f64>() / tr.len().max(1) as f64;
         means.push((log.method.clone(), mean));

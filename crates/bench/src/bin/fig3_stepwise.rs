@@ -22,7 +22,7 @@ fn necessity(
     suite: &[Workload],
     instrs: usize,
 ) -> ([f64; 6], [f64; 6], PpaResult) {
-    let power = PowerModel::default();
+    let power = PowerModel;
     let mut stalls = [0u64; 6];
     let mut occ = [0.0f64; 6];
     let mut cycles = 0u64;

@@ -21,6 +21,25 @@
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
+/// Simulations `log`'s run needed to first reach hypervolume `target`.
+fn sims_to_reach(log: &RunLog, r: &RefPoint, target: f64, step: u64) -> Option<u64> {
+    log.hypervolume_curve(r, step)
+        .into_iter()
+        .find(|&(_, hv)| hv >= target)
+        .map(|(sims, _)| sims)
+}
+
+/// Hypervolume `log`'s run attained within `budget` simulations.
+fn hv_at(log: &RunLog, r: &RefPoint, budget: u64) -> f64 {
+    let pts: Vec<_> = log
+        .records
+        .iter()
+        .take_while(|rec| rec.sims_after <= budget)
+        .map(|rec| rec.ppa)
+        .collect();
+    hypervolume(&pts, r)
+}
+
 fn main() {
     let args = Args::from_env();
     let sim_budget = args.get_u64("budget", 360);
@@ -48,35 +67,37 @@ fn main() {
             .window(instrs)
             .seed(seed)
             .threads(threads);
-        let campaign = CampaignRunner::new()
+        let specs: Vec<RunSpec> = methods
+            .iter()
+            .map(|&method| RunSpec { method, seed })
+            .collect();
+        let logs = CampaignRunner::new()
             .jobs(jobs)
-            .run(&methods, &DesignSpace::table4(), &template, sim_budget)
-            .expect("no per-run setup to fail");
+            .run_specs(&specs, &DesignSpace::table4(), &template, sim_budget)
+            .expect("no journal to fail");
 
         let r = RefPoint::default();
         let step = (sim_budget / 60).max(1);
         // Target hypervolume: a fraction of the best final value, so every
         // run has a chance to reach it (the paper picks the y where curves
         // begin to converge).
-        let best_final = campaign
-            .logs
+        let best_final = logs
             .iter()
             .filter_map(|l| l.hypervolume_curve(&r, step).last().map(|&(_, hv)| hv))
             .fold(0.0f64, f64::max);
         let target = target_frac * best_final;
         let budget_x = sim_budget * 2 / 3;
 
-        let ranker_sims = campaign
-            .sims_to_reach("ArchRanker", &r, target, step)
-            .unwrap_or(sim_budget);
-        let ranker_hv = campaign.hv_at("ArchRanker", &r, budget_x).unwrap_or(0.0);
+        // `logs[0]` is ArchRanker's run, the baseline of the ratios.
+        let ranker_sims = sims_to_reach(&logs[0], &r, target, step).unwrap_or(sim_budget);
+        let ranker_hv = hv_at(&logs[0], &r, budget_x);
 
         let mut t = Table::new(["method", "sims@target", "ratio", "hv@budget", "ratio"]);
-        for m in ["ArchRanker", "AdaBoost", "BOOM-Explorer", "ArchExplorer"] {
-            let sims = campaign.sims_to_reach(m, &r, target, step);
-            let hv = campaign.hv_at(m, &r, budget_x).unwrap_or(0.0);
+        for log in &logs {
+            let sims = sims_to_reach(log, &r, target, step);
+            let hv = hv_at(log, &r, budget_x);
             t.row([
-                m.to_string(),
+                log.method.clone(),
                 sims.map_or("never".to_string(), |s| s.to_string()),
                 sims.map_or("-".to_string(), |s| {
                     format!("{:.4}", s as f64 / ranker_sims as f64)

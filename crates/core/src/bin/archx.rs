@@ -58,7 +58,6 @@ use archexplorer::cliopt::{
     workloads,
 };
 use archexplorer::deg::prelude::*;
-use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use archexplorer::sim::extern_trace;
 use archexplorer::telemetry;
@@ -165,29 +164,21 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
     if get(kv, "progress", 0u8)? == 1 {
         evaluator.set_progress_sink(std::sync::Arc::new(StderrProgress));
     }
-    // The fingerprint pins everything the journal's replayed results
-    // depend on; mismatched resumes are rejected field-by-field.
-    let fp = evaluator.fingerprint(vec![
-        ("method".to_string(), method.to_string()),
-        ("search_seed".to_string(), seed.to_string()),
-    ]);
     if kv.contains_key("journal") && kv.contains_key("resume") {
         return Err(
             "use journal=PATH for a fresh campaign or resume=PATH to continue one, not both".into(),
         );
     }
+    let spec = RunSpec { method, seed };
     if let Some(path) = kv.get("resume") {
-        let (journal, records) = Journal::resume(path, &fp).map_err(|e| e.to_string())?;
-        let replayed = records.len();
-        let sims = evaluator.warm_start(records);
-        evaluator.set_journal(journal);
+        let (replayed, sims) =
+            journal_run(&evaluator, &spec, path.as_ref(), true).map_err(|e| e.to_string())?;
         eprintln!(
             "resumed {path}: {replayed} journaled evaluation(s) replayed, \
              {sims}/{sim_budget} simulations already spent"
         );
     } else if let Some(path) = kv.get("journal") {
-        let journal = Journal::create(path, &fp).map_err(|e| e.to_string())?;
-        evaluator.set_journal(journal);
+        journal_run(&evaluator, &spec, path.as_ref(), false).map_err(|e| e.to_string())?;
         eprintln!("journaling evaluations to {path}");
     }
     let log = run_method_on(method, &DesignSpace::table4(), &evaluator, sim_budget, seed);
@@ -268,44 +259,14 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
             "use journal=DIR for a fresh campaign or resume=DIR to continue one, not both".into(),
         );
     }
-    let journal_dir = kv
-        .get("journal")
-        .or_else(|| kv.get("resume"))
-        .map(std::path::PathBuf::from);
-    let resuming = kv.contains_key("resume");
-    if let Some(dir) = &journal_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    }
+    let mut runner = CampaignRunner::new().jobs(jobs);
     // Each run journals to (or resumes from) its own file inside the
     // campaign directory, so concurrent runs never contend on a journal.
-    let setup = move |spec: &RunSpec, evaluator: &Evaluator| -> Result<(), String> {
-        let Some(dir) = &journal_dir else {
-            return Ok(());
-        };
-        let path = run_journal_path(dir, spec);
-        let fp = evaluator.fingerprint(vec![
-            ("method".to_string(), spec.method.to_string()),
-            ("search_seed".to_string(), spec.seed.to_string()),
-        ]);
-        if resuming && path.exists() {
-            let (journal, records) = Journal::resume(&path, &fp).map_err(|e| e.to_string())?;
-            let replayed = records.len();
-            let sims = evaluator.warm_start(records);
-            evaluator.set_journal(journal);
-            eprintln!(
-                "  [{}] resumed {}: {replayed} evaluation(s) replayed, {sims} \
-                 simulation(s) already spent",
-                spec.label(),
-                path.display()
-            );
-        } else {
-            let journal = Journal::create(&path, &fp).map_err(|e| e.to_string())?;
-            evaluator.set_journal(journal);
-        }
-        Ok(())
-    };
-
-    let mut runner = CampaignRunner::new().jobs(jobs).setup(&setup);
+    if let Some(dir) = kv.get("journal") {
+        runner = runner.journal(dir, false);
+    } else if let Some(dir) = kv.get("resume") {
+        runner = runner.journal(dir, true);
+    }
     if get(kv, "progress", 0u8)? == 1 {
         runner = runner.progress_sink(std::sync::Arc::new(StderrProgress));
     }
@@ -329,17 +290,11 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
             .best_tradeoff()
             .map(|rec| rec.ppa.tradeoff())
             .unwrap_or(0.0);
-        let sims = log
-            .records
-            .iter()
-            .map(|rec| rec.sims_after)
-            .max()
-            .unwrap_or(0);
         println!(
             "{:<24} {:>8} {:>10} {:>12.4} {:>12.4}",
             spec.label(),
             log.records.len(),
-            sims,
+            log.sims_spent,
             best,
             hv_of(log)
         );

@@ -146,7 +146,8 @@ impl fmt::Display for BottleneckSource {
     }
 }
 
-fn resource_source(kind: ResourceKind) -> BottleneckSource {
+/// The source a resource-usage wait is blamed on.
+pub(crate) fn resource_source(kind: ResourceKind) -> BottleneckSource {
     match kind {
         ResourceKind::Rob => BottleneckSource::Rob,
         ResourceKind::Iq => BottleneckSource::Iq,
@@ -157,7 +158,8 @@ fn resource_source(kind: ResourceKind) -> BottleneckSource {
     }
 }
 
-fn fu_source(kind: FuKind) -> BottleneckSource {
+/// The source a functional-unit wait is blamed on.
+pub(crate) fn fu_source(kind: FuKind) -> BottleneckSource {
     match kind {
         FuKind::IntAlu => BottleneckSource::IntAlu,
         FuKind::IntMultDiv => BottleneckSource::IntMultDiv,
@@ -305,63 +307,31 @@ pub fn timeline(deg: &Deg, path: &CriticalPath, bins: usize) -> Vec<BottleneckRe
     let mut cycles = vec![[0u64; NUM_SOURCES]; bins];
     let mut lengths = vec![0u64; bins];
     let t0 = deg.time(path.start);
+    let base = BottleneckSource::Base.index();
     for e in &path.edges {
-        let w = deg.interval(e);
-        if w == 0 {
-            continue;
-        }
-        // Attribute the edge's span to the bins it crosses.
+        // Attribute the edge as `analyze` does, then lay its parts out in
+        // time: a pipeline edge's base cycles come first, then its excess
+        // (an edge has at most one source besides Base).
+        let mut parts = [0u64; NUM_SOURCES];
+        attribute_cycles(deg.locate(e.from).1, e.kind, deg.interval(e), &mut parts);
         let mut from = deg.time(e.from) - t0;
-        let to = deg.time(e.to) - t0;
-        let source = attribute(deg, e);
-        while from < to {
-            let bin = ((from / bin_len) as usize).min(bins - 1);
-            let bin_end = ((bin as u64 + 1) * bin_len).min(to);
-            cycles[bin][source.index()] += bin_end - from;
-            lengths[bin] += bin_end - from;
-            from = bin_end;
+        for source in std::iter::once(base).chain((0..NUM_SOURCES).filter(|&s| s != base)) {
+            // Each part goes to the bins it crosses.
+            let to = from + parts[source];
+            while from < to {
+                let bin = ((from / bin_len) as usize).min(bins - 1);
+                let bin_end = ((bin as u64 + 1) * bin_len).min(to);
+                cycles[bin][source] += bin_end - from;
+                lengths[bin] += bin_end - from;
+                from = bin_end;
+            }
         }
     }
     cycles
-        .into_iter()
+        .iter()
         .zip(lengths)
-        .map(|(c, len)| {
-            let mut contributions = [0.0f64; NUM_SOURCES];
-            for (i, x) in c.iter().enumerate() {
-                contributions[i] = *x as f64 / len.max(1) as f64;
-            }
-            BottleneckReport {
-                contributions,
-                length: len,
-            }
-        })
+        .map(|(c, len)| report_from_cycles(c, len))
         .collect()
-}
-
-/// The bottleneck source one edge's delay is attributed to (the rules of
-/// [`analyze`], factored out for reuse).
-fn attribute(deg: &Deg, e: &crate::graph::Edge) -> BottleneckSource {
-    match e.kind {
-        EdgeKind::Resource(kind) => resource_source(kind),
-        EdgeKind::Fu(kind) => fu_source(kind),
-        EdgeKind::Mispredict => BottleneckSource::BPred,
-        EdgeKind::Data => BottleneckSource::TrueDep,
-        EdgeKind::FetchSlot | EdgeKind::FetchBw => BottleneckSource::FetchQueue,
-        EdgeKind::MemDep => BottleneckSource::MemDep,
-        EdgeKind::Virtual => BottleneckSource::Unattributed,
-        EdgeKind::Pipeline => {
-            // Coarse: assign the whole span to the excess source of the
-            // stage (the per-cycle base split is only done in `analyze`).
-            let (_, stage) = deg.locate(e.from);
-            match stage {
-                Stage::F1 => BottleneckSource::ICache,
-                Stage::F2 => BottleneckSource::FetchQueue,
-                Stage::F | Stage::Dc | Stage::Dp | Stage::P => BottleneckSource::Width,
-                Stage::M => BottleneckSource::DCache,
-                _ => BottleneckSource::Base,
-            }
-        }
-    }
 }
 
 /// Weighted multi-workload aggregation (paper Eq. 2).
@@ -550,6 +520,23 @@ mod tests {
         assert_eq!(total, path.total_delay, "bins must partition the path");
         for b in &bins {
             assert!(b.total() <= 1.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn one_bin_timeline_equals_analyze() {
+        for w in archx_workloads::spec06_suite().iter().take(6) {
+            let r = OooCore::new(MicroArch::baseline())
+                .run(&w.generate(5_000, 1))
+                .expect("simulates");
+            let mut deg = induce(build_deg(&r));
+            let path = critical_path(&mut deg);
+            assert_eq!(
+                timeline(&deg, &path, 1),
+                vec![analyze(&deg, &path)],
+                "{}",
+                w.id.0
+            );
         }
     }
 

@@ -11,31 +11,12 @@
 //! like a sensible distribution while systematically over-weighting
 //! whatever happens to overlap the most.
 
-use crate::bottleneck::{BottleneckReport, BottleneckSource, NUM_SOURCES};
+use crate::bottleneck::{
+    fu_source, resource_source, BottleneckReport, BottleneckSource, NUM_SOURCES,
+};
 use archx_sim::config::L1_HIT_CYCLES;
 use archx_sim::isa::Instruction;
-use archx_sim::trace::{FuKind, ResourceKind, SimResult};
-
-fn resource_source(kind: ResourceKind) -> BottleneckSource {
-    match kind {
-        ResourceKind::Rob => BottleneckSource::Rob,
-        ResourceKind::Iq => BottleneckSource::Iq,
-        ResourceKind::Lq => BottleneckSource::Lq,
-        ResourceKind::Sq => BottleneckSource::Sq,
-        ResourceKind::IntRf => BottleneckSource::IntRf,
-        ResourceKind::FpRf => BottleneckSource::FpRf,
-    }
-}
-
-fn fu_source(kind: FuKind) -> BottleneckSource {
-    match kind {
-        FuKind::IntAlu => BottleneckSource::IntAlu,
-        FuKind::IntMultDiv => BottleneckSource::IntMultDiv,
-        FuKind::FpAlu => BottleneckSource::FpAlu,
-        FuKind::FpMultDiv => BottleneckSource::FpMultDiv,
-        FuKind::RdWrPort => BottleneckSource::RdWrPort,
-    }
-}
+use archx_sim::trace::SimResult;
 
 /// Sums per-instruction stall intervals into a report, and also returns
 /// the total blamed cycles (which exceed the runtime whenever instructions

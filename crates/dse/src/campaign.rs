@@ -23,15 +23,17 @@
 //! * **labelled progress** — a shared progress sink is wrapped per run in
 //!   an [`archx_telemetry::LabelledSink`] so interleaved events remain
 //!   attributable (`"ArchExplorer[s3]"`);
-//! * **per-run journals** — [`run_journal_path`] gives each run its own
-//!   journal file inside a campaign directory, so `--journal`/`--resume`
-//!   keep working when runs execute concurrently.
+//! * **per-run journals** — [`CampaignRunner::journal`] gives each run
+//!   its own journal file inside a campaign directory
+//!   ([`run_journal_path`]), opened or resumed by [`journal_run`], so
+//!   `--journal`/`--resume` keep working when runs execute concurrently.
 
 use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
 use crate::baselines::{
     run_adaboost, run_archranker, run_boom_explorer, run_calipers_dse, run_random_search,
 };
 use crate::eval::{Evaluator, EvaluatorBuilder, RunLog};
+use crate::journal::{Journal, JournalError};
 use crate::lock;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
@@ -97,7 +99,9 @@ impl fmt::Display for Method {
 /// from an [`EvaluatorBuilder`]; attach a progress sink or a journal (and
 /// warm-start it from one) before calling. The search is deterministic
 /// given `seed`, so a warm-started evaluator replays the journaled prefix
-/// from cache and spends simulations only past it.
+/// from cache and spends simulations only past it. The log's
+/// [`RunLog::sims_spent`] is the evaluator's simulation count, journaled
+/// replays included.
 pub fn run_method_on(
     method: Method,
     space: &DesignSpace,
@@ -111,14 +115,16 @@ pub fn run_method_on(
         seed,
         ..ArchExplorerOptions::default()
     };
-    match method {
+    let mut log = match method {
         Method::ArchExplorer => run_archexplorer(space, evaluator, sim_budget, &ax_opts),
         Method::Random => run_random_search(space, evaluator, sim_budget, seed),
         Method::AdaBoost => run_adaboost(space, evaluator, sim_budget, seed),
         Method::ArchRanker => run_archranker(space, evaluator, sim_budget, seed),
         Method::BoomExplorer => run_boom_explorer(space, evaluator, sim_budget, seed),
         Method::Calipers => run_calipers_dse(space, evaluator, sim_budget, &ax_opts),
-    }
+    };
+    log.sims_spent = evaluator.sim_count();
+    log
 }
 
 /// One unit of campaign work: a method run under a specific search seed.
@@ -158,6 +164,40 @@ pub fn run_journal_path(dir: &Path, spec: &RunSpec) -> PathBuf {
     dir.join(format!("{slug}-seed{}.jsonl", spec.seed))
 }
 
+/// Attaches the journal at `path` to `evaluator` for the run `spec`.
+/// With `resume`, the journal is reopened (a missing file starts a fresh
+/// one) and its records warm-start the evaluator; without, a fresh
+/// journal replaces any file at `path`. Returns the records replayed and
+/// the simulations they hold.
+///
+/// # Errors
+///
+/// Returns [`JournalError`] when the file cannot be written or read, is
+/// corrupt, or was written under a different configuration: the
+/// fingerprint pins everything the replayed results depend on (the
+/// evaluator's workloads, window, trace seed and limits, plus the run's
+/// method and search seed).
+pub fn journal_run(
+    evaluator: &Evaluator,
+    spec: &RunSpec,
+    path: &Path,
+    resume: bool,
+) -> Result<(usize, u64), JournalError> {
+    let fp = evaluator.fingerprint(vec![
+        ("method".to_string(), spec.method.to_string()),
+        ("search_seed".to_string(), spec.seed.to_string()),
+    ]);
+    let (journal, replayed, sims) = if resume {
+        let (journal, records) = Journal::resume(path, &fp)?;
+        let replayed = records.len();
+        (journal, replayed, evaluator.warm_start(records))
+    } else {
+        (Journal::create(path, &fp)?, 0, 0)
+    };
+    evaluator.set_journal(journal);
+    Ok((replayed, sims))
+}
+
 /// Splits a `threads` budget between job threads and lendable workers:
 /// `min(jobs, runs, threads)` job threads (at least 1), and the rest of
 /// the budget as the initial count of lendable threads.
@@ -187,12 +227,12 @@ pub(crate) fn return_threads(lendable: &AtomicUsize, n: usize) {
 /// Campaign execution and aggregation errors.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// Per-run setup (journal attach / warm start) failed.
-    Setup {
-        /// Label of the run whose setup failed.
+    /// A run's journal could not be opened or resumed.
+    Journal {
+        /// Label of the run whose journal failed.
         run: String,
         /// What went wrong.
-        message: String,
+        error: JournalError,
     },
     /// Two seeds of one method disagreed on a hypervolume-curve budget
     /// coordinate — their curves cannot be aggregated point-by-point.
@@ -211,9 +251,7 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CampaignError::Setup { run, message } => {
-                write!(f, "campaign run {run}: setup failed: {message}")
-            }
+            CampaignError::Journal { run, error } => write!(f, "campaign run {run}: {error}"),
             CampaignError::BudgetMisaligned {
                 method,
                 index,
@@ -230,45 +268,31 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Per-run evaluator preparation hook (journal attachment, warm start),
-/// invoked after the evaluator is built and before the search starts. May
-/// run on a campaign worker thread.
-pub type RunSetup<'a> = dyn Fn(&RunSpec, &Evaluator) -> Result<(), String> + Sync + 'a;
-
 /// Executes campaign runs — sequentially or fanned out across job
 /// threads inside the template's thread budget — with deterministic
 /// result ordering, per-run progress labelling, and optional per-run
-/// setup.
-pub struct CampaignRunner<'a> {
+/// journals.
+#[derive(Default)]
+pub struct CampaignRunner {
     jobs: usize,
     sink: Option<Arc<dyn ProgressSink>>,
-    setup: Option<&'a RunSetup<'a>>,
+    journal: Option<(PathBuf, bool)>,
 }
 
-impl fmt::Debug for CampaignRunner<'_> {
+impl fmt::Debug for CampaignRunner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CampaignRunner")
             .field("jobs", &self.jobs)
             .field("sink", &self.sink.is_some())
-            .field("setup", &self.setup.is_some())
+            .field("journal", &self.journal)
             .finish()
     }
 }
 
-impl Default for CampaignRunner<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a> CampaignRunner<'a> {
+impl CampaignRunner {
     /// A sequential runner (jobs = 1).
     pub fn new() -> Self {
-        CampaignRunner {
-            jobs: 1,
-            sink: None,
-            setup: None,
-        }
+        Self::default().jobs(1)
     }
 
     /// Runs up to `jobs` (method × seed) runs at once. The template's
@@ -286,9 +310,12 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Attaches a per-run setup hook (journal attachment, warm start).
-    pub fn setup(mut self, setup: &'a RunSetup<'a>) -> Self {
-        self.setup = Some(setup);
+    /// Journals every run to its own file in `dir` ([`run_journal_path`],
+    /// through [`journal_run`]), creating `dir` if needed. With `resume`,
+    /// each run first replays its file, so a killed campaign picks up
+    /// where it stopped; a run whose file is missing starts fresh.
+    pub fn journal(mut self, dir: impl AsRef<Path>, resume: bool) -> Self {
+        self.journal = Some((dir.as_ref().to_path_buf(), resume));
         self
     }
 
@@ -318,19 +345,35 @@ impl<'a> CampaignRunner<'a> {
                 evaluator
                     .set_progress_sink(Arc::new(LabelledSink::new(spec.label(), Arc::clone(sink))));
             }
-            if let Some(setup) = self.setup {
-                setup(spec, &evaluator).map_err(|message| CampaignError::Setup {
+            if let Some((dir, resume)) = &self.journal {
+                let path = run_journal_path(dir, spec);
+                let journaled = std::fs::create_dir_all(dir)
+                    .map_err(|e| JournalError::Io {
+                        path: dir.clone(),
+                        message: e.to_string(),
+                    })
+                    .and_then(|()| journal_run(&evaluator, spec, &path, *resume));
+                let (replayed, sims) = journaled.map_err(|error| CampaignError::Journal {
                     run: spec.label(),
-                    message,
+                    error,
                 })?;
+                if *resume {
+                    eprintln!(
+                        "  [{}] resumed {}: {replayed} evaluation(s) replayed, {sims} \
+                         simulation(s) already spent",
+                        spec.label(),
+                        path.display()
+                    );
+                }
             }
-            Ok(run_method_on(
-                spec.method,
-                space,
-                &evaluator,
-                sim_budget,
-                spec.seed,
-            ))
+            let log = run_method_on(spec.method, space, &evaluator, sim_budget, spec.seed);
+            if let Some(e) = evaluator.journal_error() {
+                eprintln!(
+                    "warning: [{}] journal writes failed ({e}); run continued unjournaled",
+                    spec.label()
+                );
+            }
+            Ok(log)
         };
 
         if jobs <= 1 {
@@ -366,27 +409,6 @@ impl<'a> CampaignRunner<'a> {
                     .expect("every spec ran")
             })
             .collect()
-    }
-
-    /// Runs `methods` with the template's seed as their search seed and
-    /// collects the campaign.
-    pub fn run(
-        &self,
-        methods: &[Method],
-        space: &DesignSpace,
-        template: &EvaluatorBuilder,
-        sim_budget: u64,
-    ) -> Result<Campaign, CampaignError> {
-        let specs: Vec<RunSpec> = methods
-            .iter()
-            .map(|&method| RunSpec {
-                method,
-                seed: template.trace_seed(),
-            })
-            .collect();
-        Ok(Campaign {
-            logs: self.run_specs(&specs, space, template, sim_budget)?,
-        })
     }
 
     /// Runs `methods` across `seeds` and aggregates each method's
@@ -425,44 +447,6 @@ impl<'a> CampaignRunner<'a> {
                 aggregate_curves(&method.to_string(), &curves)
             })
             .collect()
-    }
-}
-
-/// Result of a full campaign: one log per method.
-#[derive(Debug, Clone, Default)]
-pub struct Campaign {
-    /// Per-method run logs.
-    pub logs: Vec<RunLog>,
-}
-
-impl Campaign {
-    /// Hypervolume curves per method, sampled every `step` simulations.
-    pub fn curves(&self, r: &RefPoint, step: u64) -> Vec<(String, Vec<(u64, f64)>)> {
-        self.logs
-            .iter()
-            .map(|log| (log.method.clone(), log.hypervolume_curve(r, step)))
-            .collect()
-    }
-
-    /// Simulations a method needed to first reach hypervolume `target`.
-    pub fn sims_to_reach(&self, method: &str, r: &RefPoint, target: f64, step: u64) -> Option<u64> {
-        let log = self.logs.iter().find(|l| l.method == method)?;
-        log.hypervolume_curve(r, step)
-            .into_iter()
-            .find(|&(_, hv)| hv >= target)
-            .map(|(sims, _)| sims)
-    }
-
-    /// Hypervolume a method attained within `budget` simulations.
-    pub fn hv_at(&self, method: &str, r: &RefPoint, budget: u64) -> Option<f64> {
-        let log = self.logs.iter().find(|l| l.method == method)?;
-        let pts: Vec<_> = log
-            .records
-            .iter()
-            .take_while(|rec| rec.sims_after <= budget)
-            .map(|rec| rec.ppa)
-            .collect();
-        Some(crate::pareto::hypervolume(&pts, r))
     }
 }
 
@@ -532,6 +516,7 @@ pub fn aggregate_curves(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::SimLimits;
     use archx_workloads::spec06_suite;
 
     /// Two workloads, serial evaluation, the given window and trace seed.
@@ -544,21 +529,62 @@ mod tests {
 
     #[test]
     fn tiny_campaign_runs_all_methods() {
-        let campaign = CampaignRunner::new()
-            .run(&Method::ALL, &DesignSpace::table4(), &template(800, 3), 16)
+        let specs: Vec<RunSpec> = Method::ALL
+            .iter()
+            .map(|&method| RunSpec { method, seed: 3 })
+            .collect();
+        let logs = CampaignRunner::new()
+            .run_specs(&specs, &DesignSpace::table4(), &template(800, 3), 16)
             .expect("runs");
-        assert_eq!(campaign.logs.len(), Method::ALL.len());
-        for log in &campaign.logs {
+        assert_eq!(logs.len(), Method::ALL.len());
+        for log in &logs {
             assert!(
                 !log.records.is_empty(),
                 "{} produced no records",
                 log.method
             );
+            assert!(!log.hypervolume_curve(&RefPoint::default(), 8).is_empty());
         }
-        let curves = campaign.curves(&RefPoint::default(), 8);
-        assert_eq!(curves.len(), Method::ALL.len());
-        let hv = campaign.hv_at("Random", &RefPoint::default(), 16);
-        assert!(hv.is_some());
+    }
+
+    #[test]
+    fn quarantined_run_reports_its_spending() {
+        // A one-cycle budget fails every design: the log holds no record,
+        // but the run still spent its whole budget.
+        let template = template(1_000, 1).limits(SimLimits {
+            cycle_budget: Some(1),
+            ..SimLimits::default()
+        });
+        let spec = RunSpec {
+            method: Method::AdaBoost,
+            seed: 1,
+        };
+        let logs = CampaignRunner::new()
+            .run_specs(&[spec], &DesignSpace::table4(), &template, 60)
+            .expect("runs");
+        assert!(logs[0].records.is_empty());
+        assert!(logs[0].sims_spent >= 60, "spent {}", logs[0].sims_spent);
+    }
+
+    #[test]
+    fn resumed_run_reads_the_same_as_an_uninterrupted_one() {
+        let dir = std::env::temp_dir().join(format!("archx-resume-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = [RunSpec {
+            method: Method::Random,
+            seed: 2,
+        }];
+        let run = |resume| {
+            CampaignRunner::new()
+                .journal(&dir, resume)
+                .run_specs(&specs, &DesignSpace::table4(), &template(600, 1), 8)
+                .expect("runs")
+        };
+        let full = run(false);
+        let resumed = run(true);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(full[0].sims_spent > 0);
+        assert_eq!(full, resumed, "replays count as spent, records match");
     }
 
     #[test]

@@ -344,7 +344,7 @@ impl EvaluatorBuilder {
             traces,
             instrs_per_workload: self.window,
             trace_seed: self.seed,
-            power: PowerModel::default(),
+            power: PowerModel,
             threads: self.threads,
             lendable: self.lendable,
             limits: self.limits,
@@ -842,6 +842,9 @@ pub struct RunLog {
     pub method: String,
     /// Records in evaluation order.
     pub records: Vec<EvalRecord>,
+    /// Simulations the run spent, journaled replays and quarantined
+    /// designs included (set by [`run_method_on`](crate::run_method_on)).
+    pub sims_spent: u64,
 }
 
 impl RunLog {
@@ -849,7 +852,7 @@ impl RunLog {
     pub fn new(method: impl Into<String>) -> Self {
         RunLog {
             method: method.into(),
-            records: Vec::new(),
+            ..RunLog::default()
         }
     }
 

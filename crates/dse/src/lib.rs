@@ -70,8 +70,8 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub mod prelude {
     pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
     pub use crate::campaign::{
-        aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
-        Method, RunSpec, SweepCurve,
+        aggregate_curves, journal_run, run_journal_path, run_method_on, CampaignError,
+        CampaignRunner, Method, RunSpec, SweepCurve,
     };
     pub use crate::default_threads;
     pub use crate::eval::{
@@ -86,7 +86,7 @@ pub mod prelude {
 
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
 pub use campaign::{
-    aggregate_curves, run_journal_path, run_method_on, Campaign, CampaignError, CampaignRunner,
+    aggregate_curves, journal_run, run_journal_path, run_method_on, CampaignError, CampaignRunner,
     Method, RunSpec, SweepCurve,
 };
 pub use eval::{

@@ -166,7 +166,7 @@ pub fn reassign(
     // (pipeline width, caches, predictors) shrink even with a small
     // residual contribution, while a cheap queue only shrinks when truly
     // idle.
-    let power = PowerModel::default();
+    let power = PowerModel;
     let area_now = power.area(&next);
     let mut shrinkable: Vec<(f64, ParamId)> = ParamId::ALL
         .iter()

@@ -26,7 +26,7 @@
 //!
 //! let arch = MicroArch::baseline();
 //! let result = OooCore::new(arch).run(&trace_gen::mixed_workload(5_000, 1)).expect("simulates");
-//! let ppa = PowerModel::default().evaluate(&arch, &result.stats);
+//! let ppa = PowerModel.evaluate(&arch, &result.stats);
 //! assert!(ppa.area_mm2 > 0.0 && ppa.power_w > 0.0);
 //! ```
 

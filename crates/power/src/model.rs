@@ -35,34 +35,12 @@ pub struct PowerBreakdown {
     pub leakage_w: f64,
 }
 
-/// The analytic PPA model.
-///
-/// `Default` gives the calibrated nominal model; [`PowerModel::with_scale`]
-/// lets tests exaggerate or mute power to probe DSE behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerModel {
-    dynamic_scale: f64,
-    leakage_scale: f64,
-}
-
-impl Default for PowerModel {
-    fn default() -> Self {
-        PowerModel {
-            dynamic_scale: 1.0,
-            leakage_scale: 1.0,
-        }
-    }
-}
+/// The analytic PPA model, calibrated to the nominal technology of
+/// [`crate::energy`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PowerModel;
 
 impl PowerModel {
-    /// A model with scaled dynamic/leakage contributions.
-    pub fn with_scale(dynamic_scale: f64, leakage_scale: f64) -> Self {
-        PowerModel {
-            dynamic_scale,
-            leakage_scale,
-        }
-    }
-
     /// Core area in mm² for a configuration.
     pub fn area(&self, arch: &MicroArch) -> f64 {
         area::total_area(arch)
@@ -86,8 +64,8 @@ impl PowerModel {
             + stats.fu_issued[3] as f64 * e.per_fp_mult_nj
             + stats.fu_issued[4] as f64 * e.per_mem_port_nj
             + cycles * e.per_cycle_base_nj;
-        let dynamic_w = self.dynamic_scale * dynamic_nj * 1e-9 / seconds.max(1e-12);
-        let leakage_w = self.leakage_scale * LEAKAGE_W_PER_MM2 * self.area(arch);
+        let dynamic_w = dynamic_nj * 1e-9 / seconds.max(1e-12);
+        let leakage_w = LEAKAGE_W_PER_MM2 * self.area(arch);
         PowerBreakdown {
             dynamic_w,
             leakage_w,
@@ -105,7 +83,7 @@ impl PowerModel {
         let e = EventEnergies::for_arch(arch);
         let cycles = stats.cycles.max(1) as f64;
         let seconds = cycles / FREQ_HZ;
-        let to_w = |nj: f64| self.dynamic_scale * nj * 1e-9 / seconds.max(1e-12);
+        let to_w = |nj: f64| nj * 1e-9 / seconds.max(1e-12);
         let commits = stats.committed as f64;
 
         let mut dynamic: Vec<(&'static str, f64)> = vec![
@@ -151,7 +129,7 @@ impl PowerModel {
         ];
         // Leakage per component, folded in.
         for comp in crate::area::component_areas(arch) {
-            let leak = self.leakage_scale * LEAKAGE_W_PER_MM2 * comp.mm2;
+            let leak = LEAKAGE_W_PER_MM2 * comp.mm2;
             if let Some(entry) = dynamic.iter_mut().find(|(n, _)| *n == comp.name) {
                 entry.1 += leak;
             } else {
@@ -188,7 +166,7 @@ mod tests {
     #[test]
     fn baseline_power_in_paper_ballpark() {
         let (arch, stats) = baseline_run();
-        let ppa = PowerModel::default().evaluate(&arch, &stats);
+        let ppa = PowerModel.evaluate(&arch, &stats);
         assert!(
             (0.05..1.0).contains(&ppa.power_w),
             "baseline power {} should be near the paper's 0.2 W",
@@ -225,7 +203,7 @@ mod tests {
         let mut fat = arch;
         fat.fp_alu = 2 * arch.fp_alu;
         let r1 = OooCore::new(fat).run(&trace).expect("simulates");
-        let m = PowerModel::default();
+        let m = PowerModel;
         let p0 = m.evaluate(&arch, &r0.stats);
         let p1 = m.evaluate(&fat, &r1.stats);
         assert!(p1.area_mm2 > p0.area_mm2);
@@ -238,7 +216,7 @@ mod tests {
 
     #[test]
     fn leakage_scales_with_area() {
-        let m = PowerModel::default();
+        let m = PowerModel;
         let (arch, stats) = baseline_run();
         let mut big = arch;
         big.rob_entries = 256;
@@ -252,7 +230,7 @@ mod tests {
     #[test]
     fn breakdown_components_are_positive_and_plausible() {
         let (arch, stats) = baseline_run();
-        let m = PowerModel::default();
+        let m = PowerModel;
         let breakdown = m.power_breakdown(&arch, &stats);
         assert!(breakdown.len() >= 15);
         let total: f64 = breakdown.iter().map(|(_, w)| w).sum();
@@ -271,14 +249,5 @@ mod tests {
             .expect("dcache entry")
             .1;
         assert!(dcache > 0.001);
-    }
-
-    #[test]
-    fn scales_apply() {
-        let (arch, stats) = baseline_run();
-        let base = PowerModel::default().power(&arch, &stats);
-        let scaled = PowerModel::with_scale(2.0, 3.0).power(&arch, &stats);
-        assert!((scaled.dynamic_w / base.dynamic_w - 2.0).abs() < 1e-9);
-        assert!((scaled.leakage_w / base.leakage_w - 3.0).abs() < 1e-9);
     }
 }

@@ -93,83 +93,10 @@ impl std::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
-fn op_name(op: OpClass) -> &'static str {
-    match op {
-        OpClass::IntAlu => "int_alu",
-        OpClass::IntMult => "int_mult",
-        OpClass::IntDiv => "int_div",
-        OpClass::FpAlu => "fp_alu",
-        OpClass::FpMult => "fp_mult",
-        OpClass::FpDiv => "fp_div",
-        OpClass::Load => "load",
-        OpClass::Store => "store",
-        OpClass::BranchCond => "br_cond",
-        OpClass::BranchUncond => "br_uncond",
-        OpClass::Call => "call",
-        OpClass::Ret => "ret",
-    }
-}
-
-fn op_from(name: &str) -> Option<OpClass> {
-    Some(match name {
-        "int_alu" => OpClass::IntAlu,
-        "int_mult" => OpClass::IntMult,
-        "int_div" => OpClass::IntDiv,
-        "fp_alu" => OpClass::FpAlu,
-        "fp_mult" => OpClass::FpMult,
-        "fp_div" => OpClass::FpDiv,
-        "load" => OpClass::Load,
-        "store" => OpClass::Store,
-        "br_cond" => OpClass::BranchCond,
-        "br_uncond" => OpClass::BranchUncond,
-        "call" => OpClass::Call,
-        "ret" => OpClass::Ret,
-        _ => return None,
-    })
-}
-
-fn resource_name(r: ResourceKind) -> &'static str {
-    match r {
-        ResourceKind::Rob => "ROB",
-        ResourceKind::Iq => "IQ",
-        ResourceKind::Lq => "LQ",
-        ResourceKind::Sq => "SQ",
-        ResourceKind::IntRf => "IntRF",
-        ResourceKind::FpRf => "FpRF",
-    }
-}
-
-fn resource_from(name: &str) -> Option<ResourceKind> {
-    Some(match name {
-        "ROB" => ResourceKind::Rob,
-        "IQ" => ResourceKind::Iq,
-        "LQ" => ResourceKind::Lq,
-        "SQ" => ResourceKind::Sq,
-        "IntRF" => ResourceKind::IntRf,
-        "FpRF" => ResourceKind::FpRf,
-        _ => return None,
-    })
-}
-
-fn fu_name(f: FuKind) -> &'static str {
-    match f {
-        FuKind::IntAlu => "IntALU",
-        FuKind::IntMultDiv => "IntMultDiv",
-        FuKind::FpAlu => "FpALU",
-        FuKind::FpMultDiv => "FpMultDiv",
-        FuKind::RdWrPort => "RdWrPort",
-    }
-}
-
-fn fu_from(name: &str) -> Option<FuKind> {
-    Some(match name {
-        "IntALU" => FuKind::IntAlu,
-        "IntMultDiv" => FuKind::IntMultDiv,
-        "FpALU" => FuKind::FpAlu,
-        "FpMultDiv" => FuKind::FpMultDiv,
-        "RdWrPort" => FuKind::RdWrPort,
-        _ => return None,
-    })
+/// The variant of `all` whose `Display` name is `name`: the parser reads
+/// back the names the exporter writes.
+fn named<T: Copy + std::fmt::Display>(all: &[T], name: &str) -> Option<T> {
+    all.iter().copied().find(|v| v.to_string() == name)
 }
 
 /// Serialises a simulation result into the interchange format;
@@ -190,29 +117,13 @@ pub fn export(instructions: &[Instruction], result: &SimResult) -> String {
         let _ = write!(
             out,
             "I {idx} {} {:#x} f1={} f2={} f={} dc={} r={} dp={} i={} m={} p={} c={}",
-            op_name(instr.op),
-            instr.pc,
-            ev.f1,
-            ev.f2,
-            ev.f,
-            ev.dc,
-            ev.r,
-            ev.dp,
-            ev.i,
-            ev.m,
-            ev.p,
-            ev.c
+            instr.op, instr.pc, ev.f1, ev.f2, ev.f, ev.dc, ev.r, ev.dp, ev.i, ev.m, ev.p, ev.c
         );
         for stall in result.trace.rename_stalls(idx) {
-            let _ = write!(
-                out,
-                " rs={}:{}",
-                resource_name(stall.resource),
-                stall.releaser
-            );
+            let _ = write!(out, " rs={}:{}", stall.resource, stall.releaser);
         }
         if let Some(wait) = ev.fu_wait {
-            let _ = write!(out, " fu={}:{}", fu_name(wait.fu), wait.releaser);
+            let _ = write!(out, " fu={}:{}", wait.fu, wait.releaser);
         }
         for &d in result.trace.data_deps(idx) {
             let _ = write!(out, " dd={d}");
@@ -288,7 +199,7 @@ pub fn import(text: &str) -> Result<(Vec<Instruction>, SimResult), ParseTraceErr
         }
         let op = fields
             .next()
-            .and_then(op_from)
+            .and_then(|name| named(&OpClass::ALL, name))
             .ok_or_else(|| malformed("unknown op class"))?;
         let pc = fields
             .next()
@@ -336,7 +247,7 @@ pub fn import(text: &str) -> Result<(Vec<Instruction>, SimResult), ParseTraceErr
                             .split_once(':')
                             .ok_or_else(|| malformed("rs needs RES:idx"))?;
                         stalls.push(RenameStall {
-                            resource: resource_from(res)
+                            resource: named(&ResourceKind::ALL, res)
                                 .ok_or_else(|| malformed("unknown resource"))?,
                             releaser: idx_val()?,
                         });
@@ -346,7 +257,7 @@ pub fn import(text: &str) -> Result<(Vec<Instruction>, SimResult), ParseTraceErr
                             .split_once(':')
                             .ok_or_else(|| malformed("fu needs FU:idx"))?;
                         ev.fu_wait = Some(FuWait {
-                            fu: fu_from(fu).ok_or_else(|| malformed("unknown FU"))?,
+                            fu: named(&FuKind::ALL, fu).ok_or_else(|| malformed("unknown FU"))?,
                             releaser: idx_val()?,
                         });
                     }
@@ -495,6 +406,20 @@ mod tests {
             .expect("simulates");
         let (_, back) = import(&export(&instrs, &r)).expect("parses");
         assert_eq!(back.trace, r.trace);
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_variant() {
+        for op in OpClass::ALL {
+            assert_eq!(named(&OpClass::ALL, &op.to_string()), Some(op));
+        }
+        for r in ResourceKind::ALL {
+            assert_eq!(named(&ResourceKind::ALL, &r.to_string()), Some(r));
+        }
+        for fu in FuKind::ALL {
+            assert_eq!(named(&FuKind::ALL, &fu.to_string()), Some(fu));
+        }
+        assert_eq!(named(&OpClass::ALL, "nop"), None);
     }
 
     #[test]

@@ -38,6 +38,22 @@ pub enum OpClass {
 }
 
 impl OpClass {
+    /// All op classes, in declaration order.
+    pub const ALL: [OpClass; 12] = [
+        OpClass::IntAlu,
+        OpClass::IntMult,
+        OpClass::IntDiv,
+        OpClass::FpAlu,
+        OpClass::FpMult,
+        OpClass::FpDiv,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::BranchCond,
+        OpClass::BranchUncond,
+        OpClass::Call,
+        OpClass::Ret,
+    ];
+
     /// Whether this op reads or writes memory.
     pub fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)

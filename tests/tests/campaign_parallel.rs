@@ -8,7 +8,6 @@
 use archexplorer::dse::campaign::{
     run_journal_path, run_method_on, CampaignRunner, Method, RunSpec,
 };
-use archexplorer::dse::journal::Journal;
 use archexplorer::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -164,19 +163,9 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
     let space = DesignSpace::table4();
     let specs = all_method_specs(&[1, 2]);
 
-    let setup = |spec: &RunSpec, evaluator: &Evaluator| -> Result<(), String> {
-        let path = run_journal_path(&dir, spec);
-        let fp = evaluator.fingerprint(vec![
-            ("method".to_string(), spec.method.to_string()),
-            ("search_seed".to_string(), spec.seed.to_string()),
-        ]);
-        let journal = Journal::create(&path, &fp).map_err(|e| e.to_string())?;
-        evaluator.set_journal(journal);
-        Ok(())
-    };
     let logs = CampaignRunner::new()
         .jobs(4)
-        .setup(&setup)
+        .journal(&dir, false)
         .run_specs(&specs, &space, &template.clone().threads(4), budget)
         .expect("journaled campaign");
 
@@ -204,20 +193,9 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
         truncated.push('\n');
         std::fs::write(&path, truncated).expect("truncate journal");
     }
-    let resume_setup = |spec: &RunSpec, evaluator: &Evaluator| -> Result<(), String> {
-        let path = run_journal_path(&dir, spec);
-        let fp = evaluator.fingerprint(vec![
-            ("method".to_string(), spec.method.to_string()),
-            ("search_seed".to_string(), spec.seed.to_string()),
-        ]);
-        let (journal, records) = Journal::resume(&path, &fp).map_err(|e| e.to_string())?;
-        evaluator.warm_start(records);
-        evaluator.set_journal(journal);
-        Ok(())
-    };
     let resumed = CampaignRunner::new()
         .jobs(4)
-        .setup(&resume_setup)
+        .journal(&dir, true)
         .run_specs(&specs, &space, &template.clone().threads(4), budget)
         .expect("resumed campaign");
     for ((spec, full), res) in specs.iter().zip(&logs).zip(&resumed) {

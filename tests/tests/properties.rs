@@ -117,7 +117,7 @@ proptest! {
     fn power_model_is_positive_and_monotone_in_activity(design in arb_design()) {
         let trace = spec06_suite()[0].generate(1_000, 1);
         let r = OooCore::new(design).run(&trace).expect("simulates");
-        let ppa = PowerModel::default().evaluate(&design, &r.stats);
+        let ppa = PowerModel.evaluate(&design, &r.stats);
         prop_assert!(ppa.power_w > 0.0);
         prop_assert!(ppa.area_mm2 > 0.0);
         prop_assert!(ppa.ipc > 0.0);
