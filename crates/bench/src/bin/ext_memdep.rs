@@ -9,7 +9,6 @@
 //! cargo run -p archx-bench --release --bin ext_memdep [instrs=N]
 //! ```
 
-use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::config::MemDepPolicy;
 use archexplorer::sim::OooCore;

@@ -9,7 +9,6 @@
 //! cargo run -p archx-bench --release --bin ext_replacement [instrs=N]
 //! ```
 
-use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::config::ReplPolicy;
 use archexplorer::sim::OooCore;

@@ -8,7 +8,6 @@
 //! ```
 
 use archexplorer::deg::bottleneck::timeline;
-use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
 use archexplorer::workloads::{

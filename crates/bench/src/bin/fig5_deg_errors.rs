@@ -13,7 +13,6 @@
 //! cargo run -p archx-bench --release --bin fig5_deg_errors [instrs=N]
 //! ```
 
-use archexplorer::deg::prelude::*;
 use archexplorer::deg::{bottleneck, CalipersModel};
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;

@@ -6,8 +6,7 @@
 //! cargo run -p archx-bench --release --bin fig9_walkthrough
 //! ```
 
-use archexplorer::deg::bottleneck;
-use archexplorer::deg::prelude::*;
+use archexplorer::deg::{bottleneck, build_deg, induce};
 use archexplorer::sim::isa::{Instruction, OpClass, Reg};
 use archexplorer::sim::{MicroArch, OooCore};
 use archx_bench::Args;

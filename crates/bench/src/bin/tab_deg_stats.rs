@@ -16,7 +16,6 @@
 //! cargo run -p archx-bench --release --bin tab_deg_stats [instrs=N]
 //! ```
 
-use archexplorer::deg::prelude::*;
 use archexplorer::deg::{bottleneck, fused, CalipersModel};
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;

@@ -57,7 +57,7 @@ use archexplorer::cliopt::{
     command_line, get, parse_kv, parse_method, parse_methods, parse_seeds, print_telemetry,
     workloads,
 };
-use archexplorer::deg::prelude::*;
+use archexplorer::dse::campaign::thread_split;
 use archexplorer::prelude::*;
 use archexplorer::sim::extern_trace;
 use archexplorer::telemetry;
@@ -245,13 +245,13 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
         .collect();
     let threads = template.thread_budget();
+    let (job_threads, _) = thread_split(threads, jobs, specs.len());
     eprintln!(
-        "campaign: {} method(s) x {} seed(s) = {} run(s); {} job(s) sharing \
+        "campaign: {} method(s) x {} seed(s) = {} run(s); {job_threads} job(s) sharing \
          {threads} thread(s); budget {sim_budget} sims/run",
         methods.len(),
         seeds.len(),
         specs.len(),
-        jobs.clamp(1, threads),
     );
 
     if kv.contains_key("journal") && kv.contains_key("resume") {

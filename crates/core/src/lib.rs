@@ -55,8 +55,21 @@ pub mod cliopt;
 
 /// The most commonly used items across all layers.
 pub mod prelude {
-    pub use archx_deg::prelude::*;
-    pub use archx_dse::prelude::*;
+    pub use archx_deg::{
+        build_deg, critical_path, induce, merge_reports, validate_deg, validate_exactness,
+        validate_exactness_window, validate_times, BottleneckReport, BottleneckSource,
+        CriticalPath, Deg, EdgeKind, NodeId, Stage, ValidationError, NUM_SOURCES,
+    };
+    pub use archx_dse::eval::EvalRecord;
+    pub use archx_dse::pareto::dominates;
+    pub use archx_dse::{
+        aggregate_curves, default_threads, hypervolume, journal_run, pareto_front,
+        run_archexplorer, run_journal_path, run_method_on, run_verify, Analysis,
+        ArchExplorerOptions, CampaignError, CampaignRunner, DesignEval, DesignSpace, EvalError,
+        EvalFailure, Evaluator, EvaluatorBuilder, ExplorationSet, Journal, JournalError,
+        JournalFingerprint, JournalRecord, Method, ParamId, QuarantineEntry, RefPoint, RunLog,
+        RunSpec, SimLimits, SweepCurve, VerifyConfig, VerifyReport, Violation,
+    };
     pub use archx_power::{PowerModel, PpaResult};
     pub use archx_sim::{MicroArch, OooCore, SimStats};
     pub use archx_workloads::{spec06_suite, spec17_suite, suite_named, suite_prefix, Workload};

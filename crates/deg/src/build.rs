@@ -150,6 +150,7 @@ pub(crate) fn skewed_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate_deg;
     use archx_sim::{trace_gen, MicroArch, OooCore};
 
     fn run(n: usize) -> SimResult {
@@ -166,7 +167,7 @@ mod tests {
         assert_eq!(g.node_count(), 5000);
         // At least the 9 pipeline edges per instruction.
         assert!(g.edge_count() >= 9 * 500);
-        g.validate().expect("well-formed DEG");
+        validate_deg(&g).expect("well-formed DEG");
     }
 
     #[test]
@@ -218,7 +219,7 @@ mod tests {
         let r = run(1_000);
         let g = build_deg_window(&r, 500, 1_000);
         assert_eq!(g.instr_count(), 500);
-        g.validate().expect("windowed DEG well-formed");
+        validate_deg(&g).expect("windowed DEG well-formed");
     }
 
     #[test]

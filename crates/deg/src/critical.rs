@@ -105,7 +105,7 @@ pub(crate) fn sort_by_time(
 ///
 /// ```
 /// use archx_sim::{MicroArch, OooCore, trace_gen};
-/// use archx_deg::prelude::*;
+/// use archx_deg::{build_deg, critical_path, induce};
 ///
 /// let result = OooCore::new(MicroArch::baseline())
 ///     .run(&trace_gen::mixed_workload(500, 1))

@@ -333,22 +333,6 @@ impl Deg {
             .iter()
             .map(move |&i| &self.edges[i as usize])
     }
-
-    /// Validates all structural invariants (all edges forward, weights
-    /// non-negative). Intended for tests.
-    pub fn validate(&self) -> Result<(), String> {
-        for e in &self.edges {
-            if !self.is_forward(e.from, e.to) {
-                return Err(format!(
-                    "edge {:?} -> {:?} ({:?}) violates topological order",
-                    self.locate(e.from),
-                    self.locate(e.to),
-                    e.kind
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -412,7 +396,7 @@ mod tests {
         for e in g.edges() {
             assert!(pos[&e.from] < pos[&e.to]);
         }
-        assert!(g.validate().is_ok());
+        assert!(crate::validate_deg(&g).is_ok());
     }
 
     #[test]

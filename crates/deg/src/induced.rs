@@ -185,7 +185,7 @@ pub fn induce(mut deg: Deg) -> Deg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build_deg;
+    use crate::{build_deg, validate_deg};
     use archx_sim::{trace_gen, MicroArch, OooCore};
 
     fn induced_of(n: usize) -> Deg {
@@ -206,7 +206,7 @@ mod tests {
         assert!(ind.edge_count() >= base_edges);
         let added = &ind.edges()[base_edges..];
         assert!(added.iter().all(|e| e.kind == EdgeKind::Virtual));
-        ind.validate().expect("induced DEG well-formed");
+        validate_deg(&ind).expect("induced DEG well-formed");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use archx_sim::{MicroArch, OooCore, trace_gen};
-//! use archx_deg::prelude::*;
+//! use archx_deg::{build_deg, critical_path, induce};
 //!
 //! let result = OooCore::new(MicroArch::baseline()).run(&trace_gen::mixed_workload(2_000, 1)).expect("simulates");
 //! let deg = build_deg(&result);
@@ -48,19 +48,6 @@ pub mod graph;
 pub mod induced;
 pub mod naive;
 pub mod validate;
-
-/// Convenient re-exports of the main entry points.
-pub mod prelude {
-    pub use crate::bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
-    pub use crate::build::build_deg;
-    pub use crate::critical::{critical_path, CriticalPath};
-    pub use crate::graph::{Deg, EdgeKind, NodeId, Stage};
-    pub use crate::induced::induce;
-    pub use crate::validate::{
-        validate_deg, validate_exactness, validate_exactness_window, validate_times,
-        ValidationError,
-    };
-}
 
 pub use bottleneck::{merge_reports, BottleneckReport, BottleneckSource, NUM_SOURCES};
 pub use build::build_deg;

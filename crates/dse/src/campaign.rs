@@ -7,18 +7,21 @@
 //! Every (method × seed) run owns a fresh evaluator, built from a clone of
 //! the campaign's [`EvaluatorBuilder`] template, and a deterministic RNG,
 //! so runs are embarrassingly parallel. [`CampaignRunner`] fans runs
-//! out across `jobs` job threads, all inside one thread budget: the
-//! template's [`EvaluatorBuilder::threads`]. Each job thread is one unit
-//! of that budget; the rest is a shared count of lendable threads that
-//! evaluators borrow workload workers from, without blocking, for the
-//! length of one evaluation attempt. A job thread that finds no run left
-//! adds itself to the count, so the campaign's last runs get the threads
-//! of the finished ones. Campaign jobs plus workload workers never exceed
-//! the budget, with:
+//! out across [`thread_split`]'s job threads, all inside one thread
+//! budget: the template's [`EvaluatorBuilder::threads`]. The calling
+//! thread is one of the job threads, and `jobs = 1` is simply the case
+//! with no thread spawned: the same loop that fans an evaluation's
+//! workloads out. Each job thread is one unit of the budget; the rest is
+//! a shared count of lendable threads that evaluators borrow workload
+//! workers from, without blocking, for the length of one evaluation
+//! attempt. A job thread that finds no run left adds itself to the
+//! count, so the campaign's last runs get the threads of the finished
+//! ones. Campaign jobs plus workload workers never exceed the budget,
+//! with:
 //!
-//! * **deterministic ordering** — logs land in pre-allocated slots in the
-//!   caller's (method, seed) order regardless of completion order, and a
-//!   run's results are independent of worker-thread count, so `jobs = 4`
+//! * **deterministic ordering** — logs come back in the caller's
+//!   (method, seed) order regardless of completion order, and a run's
+//!   results are independent of worker-thread count, so `jobs = 4`
 //!   produces byte-identical [`RunLog`]s to `jobs = 1`;
 //! * **labelled progress** — a shared progress sink is wrapped per run in
 //!   an [`archx_telemetry::LabelledSink`] so interleaved events remain
@@ -34,14 +37,13 @@ use crate::baselines::{
 };
 use crate::eval::{Evaluator, EvaluatorBuilder, RunLog};
 use crate::journal::{Journal, JournalError};
-use crate::lock;
 use crate::pareto::RefPoint;
 use crate::space::DesignSpace;
 use archx_telemetry::{self as telemetry, LabelledSink, ProgressSink};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// The DSE methods under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,8 +202,9 @@ pub fn journal_run(
 
 /// Splits a `threads` budget between job threads and lendable workers:
 /// `min(jobs, runs, threads)` job threads (at least 1), and the rest of
-/// the budget as the initial count of lendable threads.
-pub(crate) fn thread_split(threads: usize, jobs: usize, runs: usize) -> (usize, usize) {
+/// the budget as the initial count of lendable threads. This is the split
+/// [`CampaignRunner::run_specs`] runs with.
+pub fn thread_split(threads: usize, jobs: usize, runs: usize) -> (usize, usize) {
     let threads = threads.max(1);
     let jobs = jobs.min(runs).clamp(1, threads);
     (jobs, threads - jobs)
@@ -376,39 +379,16 @@ impl CampaignRunner {
             Ok(log)
         };
 
-        if jobs <= 1 {
-            return specs.iter().map(run_one).collect();
-        }
-
-        // Worker pool with deterministic, pre-allocated result slots:
-        // workers pull the next spec index and write into slots[i], so
-        // the output order is the caller's spec order however the runs
-        // interleave.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RunLog, CampaignError>>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        // No run left: lend this thread to the runs still
-                        // going.
-                        return_threads(&lendable, 1);
-                        break;
-                    }
-                    *lock(&slots[i]) = Some(run_one(&specs[i]));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every spec ran")
-            })
-            .collect()
+        // The calling thread is one of the `jobs`; a job thread with no
+        // run left lends itself to the runs still going.
+        crate::fan_out(
+            specs.len(),
+            jobs - 1,
+            |i| run_one(&specs[i]),
+            || return_threads(&lendable, 1),
+        )
+        .into_iter()
+        .collect()
     }
 
     /// Runs `methods` across `seeds` and aggregates each method's

@@ -21,6 +21,7 @@
 //! per workload regardless of outcome, so a budget always terminates even
 //! if every sampled design fails.
 
+use crate::campaign::{borrow_threads, return_threads};
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::lock;
 use crate::pareto::{ExplorationSet, RefPoint};
@@ -35,7 +36,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 thread_local! {
     /// The last simulation result on this thread, kept so the next
@@ -45,10 +46,6 @@ thread_local! {
     /// per design on a long-lived thread.
     static BUFFERS: RefCell<SimResult> = RefCell::default();
 }
-
-/// Outcome of one workload's simulation attempt: its PPA and (when
-/// requested) bottleneck report, or the typed error that stopped it.
-type AttemptOutcome = Result<(PpaResult, Option<BottleneckReport>), EvalError>;
 
 /// Which bottleneck analysis to run alongside the simulations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,9 +305,9 @@ impl EvaluatorBuilder {
     }
 
     /// Makes the built evaluator borrow its extra workload workers from
-    /// `lendable`, a campaign's count of idle threads, instead of
-    /// spawning up to [`Self::threads`] on its own. The caller's thread
-    /// always works; workers beyond it run only while the count has them.
+    /// `lendable`, a campaign's count of idle threads, instead of from its
+    /// own count of [`Self::threads`] − 1. The caller's thread always
+    /// works; workers beyond it run only while the count has them.
     pub(crate) fn lend_from(mut self, lendable: Arc<AtomicUsize>) -> Self {
         self.lendable = Some(lendable);
         self
@@ -346,7 +343,9 @@ impl EvaluatorBuilder {
             trace_seed: self.seed,
             power: PowerModel,
             threads: self.threads,
-            lendable: self.lendable,
+            lendable: self
+                .lendable
+                .unwrap_or_else(|| Arc::new(AtomicUsize::new(self.threads - 1))),
             limits: self.limits,
             max_retries: self.max_retries,
             sims: AtomicU64::new(0),
@@ -369,7 +368,7 @@ pub struct Evaluator {
     trace_seed: u64,
     power: PowerModel,
     threads: usize,
-    lendable: Option<Arc<AtomicUsize>>,
+    lendable: Arc<AtomicUsize>,
     limits: SimLimits,
     max_retries: u32,
     sims: AtomicU64,
@@ -679,8 +678,8 @@ impl Evaluator {
 
         let run_one = |i: usize| -> Result<(PpaResult, Option<BottleneckReport>), EvalError> {
             // Everything below is attributed under `eval/...` — absolute,
-            // so names match whether this runs on the caller's thread
-            // (serial path) or on a worker. Scopes are thread-local.
+            // so names match whether this runs on the caller's thread or
+            // on a spawned worker. Scopes are thread-local.
             let _root = telemetry::root_scope();
             let _scope = telemetry::scope("eval");
             let full = &self.traces[i];
@@ -692,7 +691,7 @@ impl Evaluator {
             BUFFERS.with_borrow_mut(|result| self.run_workload(arch, analysis, trace, result))
         };
         // A panicking worker must fail the design, not the campaign.
-        let guarded = |i: usize| -> AttemptOutcome {
+        let guarded = |i: usize| {
             catch_unwind(AssertUnwindSafe(|| run_one(i))).unwrap_or_else(|payload| {
                 Err(EvalError::WorkerPanic {
                     message: panic_message(&payload),
@@ -700,61 +699,19 @@ impl Evaluator {
             })
         };
 
-        // Worker count: the configured thread cap, or, inside a campaign,
-        // the caller's own thread plus whatever idle threads the campaign
-        // can lend right now.
-        let want = self.threads.min(n);
-        let lent = match &self.lendable {
-            Some(lendable) if want > 1 => crate::campaign::borrow_threads(lendable, want - 1),
-            _ => 0,
-        };
+        // The caller's thread always works; up to `min(threads, n) - 1`
+        // more run while the lendable count has them.
+        let lent = borrow_threads(&self.lendable, self.threads.min(n).saturating_sub(1));
         if lent > 0 {
             telemetry::counter_add("eval/lent_workers", lent as u64);
         }
-        let workers = if self.lendable.is_some() {
-            1 + lent
-        } else {
-            want
-        };
-
-        let mut outcomes: Vec<Option<AttemptOutcome>> = (0..n).map(|_| None).collect();
-        if workers <= 1 || n <= 1 {
-            for (i, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(guarded(i));
-            }
-        } else {
-            // One pre-allocated slot per workload index: each worker
-            // writes its outcome straight into its own slot, so workers
-            // never serialize on a shared results lock and no reorder
-            // pass is needed afterwards.
-            let next = AtomicU64::new(0);
-            let slots: Vec<Mutex<Option<AttemptOutcome>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            // The scope join itself cannot panic: every worker body is
-            // wrapped in `catch_unwind` above.
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= n {
-                            break;
-                        }
-                        *lock(&slots[i]) = Some(guarded(i));
-                    });
-                }
-            });
-            for (slot, out) in slots.into_iter().zip(outcomes.iter_mut()) {
-                *out = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        if let Some(lendable) = &self.lendable {
-            crate::campaign::return_threads(lendable, lent);
-        }
+        let outcomes = crate::fan_out(n, lent, guarded, || {});
+        return_threads(&self.lendable, lent);
 
         let mut per_workload = Vec::with_capacity(n);
         let mut reports: Vec<Option<BottleneckReport>> = Vec::with_capacity(n);
         for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome.expect("every workload ran") {
+            match outcome {
                 Ok((ppa, rep)) => {
                     per_workload.push(ppa);
                     reports.push(rep);

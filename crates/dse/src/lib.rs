@@ -30,7 +30,7 @@
 //!   and shrinking reproducers.
 //!
 //! ```no_run
-//! use archx_dse::prelude::*;
+//! use archx_dse::{run_method_on, DesignSpace, Evaluator, Method};
 //! use archx_workloads::spec06_suite;
 //!
 //! let space = DesignSpace::table4();
@@ -60,28 +60,51 @@ pub fn default_threads() -> usize {
 
 /// Locks `m` even if a thread panicked while holding it. Worker panics are
 /// caught by `catch_unwind` and turned into failed evaluations, so one
-/// must not make every later lock of a shared evaluator or campaign slot
-/// panic too.
+/// must not make every later lock of a shared evaluator panic too.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Convenient re-exports of the main entry points.
-pub mod prelude {
-    pub use crate::archexplorer::{run_archexplorer, ArchExplorerOptions};
-    pub use crate::campaign::{
-        aggregate_curves, journal_run, run_journal_path, run_method_on, CampaignError,
-        CampaignRunner, Method, RunSpec, SweepCurve,
+/// Runs `work(i)` for every `i < n` on the calling thread plus `extra`
+/// scoped threads, which pull indices from one shared counter, and
+/// returns the results in index order. Each thread calls `idle` once when
+/// no index is left. With `extra == 0` everything runs on the calling
+/// thread and no thread is spawned. A panic in `work` reaches the caller
+/// after every thread has stopped.
+pub(crate) fn fan_out<T: Send>(
+    n: usize,
+    extra: usize,
+    work: impl Fn(usize) -> T + Sync,
+    idle: impl Fn() + Sync,
+) -> Vec<T> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            done.push((i, work(i)));
+        }
+        idle();
+        done
     };
-    pub use crate::default_threads;
-    pub use crate::eval::{
-        Analysis, DesignEval, EvalError, EvalFailure, EvalRecord, Evaluator, EvaluatorBuilder,
-        QuarantineEntry, RunLog, SimLimits,
-    };
-    pub use crate::journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
-    pub use crate::pareto::{dominates, hypervolume, pareto_front, ExplorationSet, RefPoint};
-    pub use crate::space::{DesignSpace, ParamId};
-    pub use crate::verify::{run_verify, VerifyConfig, VerifyReport, Violation};
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (0..extra).map(|_| s.spawn(worker)).collect();
+        let mut done = worker();
+        for handle in spawned {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 pub use archexplorer::{run_archexplorer, ArchExplorerOptions};
@@ -97,3 +120,57 @@ pub use journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
 pub use pareto::{hypervolume, pareto_front, ExplorationSet, RefPoint};
 pub use space::{DesignSpace, ParamId};
 pub use verify::{run_verify, VerifyConfig, VerifyReport, Violation};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    #[test]
+    fn fan_out_runs_every_index_once_in_order_on_at_most_extra_plus_one_threads() {
+        let caller = thread::current().id();
+        for n in 0..=5 {
+            for extra in 0..=4 {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let idled: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+                let out = fan_out(
+                    n,
+                    extra,
+                    |i| {
+                        runs[i].fetch_add(1, Ordering::SeqCst);
+                        (i, thread::current().id())
+                    },
+                    || lock(&idled).push(thread::current().id()),
+                );
+                let case = format!("n={n} extra={extra}");
+                let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "{case}: index order");
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
+                    "{case}: every index runs exactly once"
+                );
+                let workers: HashSet<ThreadId> = out.iter().map(|&(_, t)| t).collect();
+                assert!(workers.len() <= extra + 1, "{case}: too many threads");
+                if extra == 0 {
+                    assert!(
+                        workers.iter().all(|&t| t == caller),
+                        "{case}: the calling thread runs everything"
+                    );
+                }
+                let idled = idled.into_inner().expect("no panics");
+                let distinct: HashSet<ThreadId> = idled.iter().copied().collect();
+                assert_eq!(idled.len(), extra + 1, "{case}: one idle call per thread");
+                assert_eq!(
+                    distinct.len(),
+                    idled.len(),
+                    "{case}: idle twice on a thread"
+                );
+                assert!(distinct.contains(&caller), "{case}: the caller idles too");
+                assert!(workers.is_subset(&distinct), "{case}: a worker never idled");
+            }
+        }
+    }
+}

@@ -6,8 +6,7 @@
 //! cargo run -p archx-examples --release --bin bottleneck_tour
 //! ```
 
-use archexplorer::deg::prelude::*;
-use archexplorer::deg::{bottleneck, CalipersModel};
+use archexplorer::deg::{bottleneck, build_deg, induce, CalipersModel};
 use archexplorer::sim::{trace_gen, MicroArch, OooCore};
 
 fn analyze(label: &str, arch: MicroArch, trace: &[archexplorer::sim::Instruction]) {

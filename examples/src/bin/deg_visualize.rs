@@ -8,7 +8,6 @@
 //! ```
 
 use archexplorer::deg::export::{to_dot, DotOptions};
-use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::trace_gen;
 

@@ -2,7 +2,6 @@
 //! the simulated runtime exactly, across workloads and configurations —
 //! the headline property of the paper's new formulation.
 
-use archexplorer::deg::prelude::*;
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
 

@@ -2,7 +2,6 @@
 //! specifications and lattice designs must preserve every structural
 //! invariant of the simulator, the DEG, and the Pareto machinery.
 
-use archexplorer::deg::prelude::*;
 use archexplorer::power::{PowerModel, PpaResult};
 use archexplorer::prelude::*;
 use archexplorer::sim::OooCore;
@@ -89,7 +88,7 @@ proptest! {
         let trace = spec.generate(1_200, 9);
         let r = OooCore::new(design).run(&trace).expect("simulates");
         let mut deg = induce(build_deg(&r));
-        deg.validate().expect("well-formed induced DEG");
+        validate_deg(&deg).expect("well-formed induced DEG");
         let path = archexplorer::deg::critical::critical_path(&mut deg);
         prop_assert_eq!(path.total_delay, r.trace.cycles);
         let report = archexplorer::deg::bottleneck::analyze(&deg, &path);

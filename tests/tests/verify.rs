@@ -5,7 +5,6 @@
 //! fault-injection path (an intentionally broken invariant must be caught
 //! and shrunk to a replayable reproducer).
 
-use archexplorer::deg::prelude::*;
 use archexplorer::dse::verify::{run_verify, VerifyConfig};
 use archexplorer::prelude::*;
 use archexplorer::sim::{trace_gen, CheckConfig, InjectedFault, OooCore, SimError};
