@@ -59,8 +59,7 @@ fn main() {
             .seed(seed)
             .build();
         let log = run_archexplorer(&space, &ev, budget, &opts);
-        let pts: Vec<_> = log.records.iter().map(|rec| rec.ppa).collect();
-        let hv = hypervolume(&pts, &r);
+        let hv = log.hypervolume(&r, u64::MAX);
         let best = log.best_tradeoff().map_or(0.0, |b| b.ppa.tradeoff());
         eprintln!("[{name}] done ({} designs)", log.records.len());
         t.row([

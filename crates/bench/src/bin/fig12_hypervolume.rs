@@ -21,15 +21,9 @@
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
-/// Multi-seed variant: prints mean ± std hypervolume per budget point.
-fn run_suite_sweep(
-    name: &str,
-    template: &EvaluatorBuilder,
-    sim_budget: u64,
-    seeds: &[u64],
-    jobs: usize,
-) {
-    let space = DesignSpace::table4();
+/// Runs every method under every seed and prints each method's curve:
+/// the hypervolume of its one run, or the mean ± std over several seeds.
+fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, seeds: &[u64], jobs: usize) {
     let methods = [
         Method::ArchExplorer,
         Method::AdaBoost,
@@ -39,17 +33,26 @@ fn run_suite_sweep(
         Method::Calipers,
     ];
     eprintln!(
-        "[{name}] sweeping {} methods x {sim_budget} sims x {} seeds ({} jobs)...",
+        "[{name}] running {} methods x {sim_budget} sims x {} seed(s) ({jobs} jobs)...",
         methods.len(),
         seeds.len(),
-        jobs
     );
+    let specs: Vec<RunSpec> = methods
+        .iter()
+        .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
+        .collect();
+    let logs = CampaignRunner::new()
+        .jobs(jobs)
+        .run_specs(&specs, &DesignSpace::table4(), template, sim_budget)
+        .expect("no journal to fail");
+
     let r = RefPoint::default();
     let step = (sim_budget / 12).max(1);
-    let curves = CampaignRunner::new()
-        .jobs(jobs)
-        .sweep(&methods, &space, template, sim_budget, seeds, &r, step)
-        .expect("seeds sample aligned budget grids");
+    let curves: Vec<SweepCurve> = methods
+        .iter()
+        .zip(logs.chunks(seeds.len()))
+        .map(|(method, logs)| aggregate_curves(&method.to_string(), logs, &r, step))
+        .collect();
     let mut header = vec!["sims".to_string()];
     header.extend(curves.iter().map(|c| c.method.clone()));
     let mut t = Table::new(header);
@@ -57,71 +60,20 @@ fn run_suite_sweep(
     for i in 0..len {
         let mut row = vec![((i as u64 + 1) * step).to_string()];
         for c in &curves {
-            row.push(
-                c.points
-                    .get(i)
-                    .map(|&(_, mean, std)| format!("{mean:.3}±{std:.3}"))
-                    .unwrap_or_else(|| "-".to_string()),
-            );
+            row.push(match c.points.get(i) {
+                Some(&(_, hv, _)) if seeds.len() == 1 => format!("{hv:.4}"),
+                Some(&(_, mean, std)) => format!("{mean:.3}±{std:.3}"),
+                None => "-".to_string(),
+            });
         }
         t.row(row);
     }
-    println!(
-        "
-Figure 12 [{name}] over seeds {seeds:?}: mean ± std hypervolume
-{}",
-        t.to_text()
-    );
-}
-
-fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, jobs: usize) {
-    let space = DesignSpace::table4();
-    let methods = [
-        Method::ArchExplorer,
-        Method::AdaBoost,
-        Method::ArchRanker,
-        Method::BoomExplorer,
-        Method::Random,
-        Method::Calipers,
-    ];
-    eprintln!(
-        "[{name}] running {} methods x {sim_budget} sims ({} jobs)...",
-        methods.len(),
-        jobs
-    );
-    let specs: Vec<RunSpec> = methods
-        .iter()
-        .map(|&method| RunSpec {
-            method,
-            seed: template.trace_seed(),
-        })
-        .collect();
-    let logs = CampaignRunner::new()
-        .jobs(jobs)
-        .run_specs(&specs, &space, template, sim_budget)
-        .expect("no journal to fail");
-
-    let r = RefPoint::default();
-    let step = (sim_budget / 12).max(1);
-    let curves: Vec<(String, Vec<(u64, f64)>)> = logs
-        .iter()
-        .map(|log| (log.method.clone(), log.hypervolume_curve(&r, step)))
-        .collect();
-    let mut header = vec!["sims".to_string()];
-    header.extend(curves.iter().map(|(m, _)| m.clone()));
-    let mut t = Table::new(header);
-    let len = curves.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-    for i in 0..len {
-        let mut row = vec![((i as u64 + 1) * step).to_string()];
-        for (_, curve) in &curves {
-            row.push(
-                curve
-                    .get(i)
-                    .map(|(_, hv)| format!("{hv:.4}"))
-                    .unwrap_or_else(|| "-".to_string()),
-            );
-        }
-        t.row(row);
+    if seeds.len() > 1 {
+        println!(
+            "\nFigure 12 [{name}] over seeds {seeds:?}: mean ± std hypervolume\n{}",
+            t.to_text()
+        );
+        return;
     }
     println!(
         "\nFigure 12 [{name}]: Pareto hypervolume vs simulations\n{}",
@@ -131,7 +83,7 @@ fn run_suite(name: &str, template: &EvaluatorBuilder, sim_budget: u64, jobs: usi
     // Shape check: where does ArchExplorer stand at the final budget?
     let finals: Vec<(String, f64)> = curves
         .iter()
-        .filter_map(|(m, c)| c.last().map(|&(_, hv)| (m.clone(), hv)))
+        .filter_map(|c| c.points.last().map(|&(_, hv, _)| (c.method.clone(), hv)))
         .collect();
     let ax = finals
         .iter()
@@ -155,7 +107,7 @@ fn main() {
     let seed = args.get_u64("seed", 1);
     let limit = args.get_usize("workloads", usize::MAX);
     let which = args.get_str("suite", "both");
-    let n_seeds = args.get_usize("seeds", 1);
+    let n_seeds = args.get_usize("seeds", 1).max(1);
     let jobs = args.get_usize("jobs", 1).max(1);
     let threads = args.get_usize("threads", jobs.max(archexplorer::dse::default_threads()));
 
@@ -171,11 +123,6 @@ fn main() {
             .window(instrs)
             .seed(seed)
             .threads(threads);
-        let name = name.to_uppercase();
-        if n_seeds > 1 {
-            run_suite_sweep(&name, &template, sim_budget, &seeds, jobs);
-        } else {
-            run_suite(&name, &template, sim_budget, jobs);
-        }
+        run_suite(&name.to_uppercase(), &template, sim_budget, &seeds, jobs);
     }
 }

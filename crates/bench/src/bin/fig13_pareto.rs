@@ -43,10 +43,11 @@ fn main() {
         .run_specs(&specs, &DesignSpace::table4(), &template, sim_budget)
         .expect("no journal to fail");
 
+    let frontiers: Vec<Vec<(MicroArch, PpaResult)>> = logs.iter().map(RunLog::frontier).collect();
     println!("Figure 13 data: Pareto-frontier points per method (CSV)");
     let mut t = Table::new(["method", "ipc", "power_w", "area_mm2", "tradeoff"]);
-    for log in &logs {
-        for (_, ppa) in log.frontier() {
+    for (log, frontier) in logs.iter().zip(&frontiers) {
+        for (_, ppa) in frontier {
             t.row([
                 log.method.clone(),
                 format!("{:.4}", ppa.ipc),
@@ -61,8 +62,8 @@ fn main() {
     println!("PPA trade-off distribution of Pareto designs:");
     let mut s = Table::new(["method", "n", "mean", "min", "max"]);
     let mut means: Vec<(String, f64)> = Vec::new();
-    for log in &logs {
-        let tr: Vec<f64> = log.frontier().iter().map(|(_, p)| p.tradeoff()).collect();
+    for (log, frontier) in logs.iter().zip(&frontiers) {
+        let tr: Vec<f64> = frontier.iter().map(|(_, p)| p.tradeoff()).collect();
         let mean = tr.iter().sum::<f64>() / tr.len().max(1) as f64;
         means.push((log.method.clone(), mean));
         s.row([

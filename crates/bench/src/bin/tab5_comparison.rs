@@ -21,23 +21,13 @@
 use archexplorer::prelude::*;
 use archx_bench::{Args, Table};
 
-/// Simulations `log`'s run needed to first reach hypervolume `target`.
-fn sims_to_reach(log: &RunLog, r: &RefPoint, target: f64, step: u64) -> Option<u64> {
-    log.hypervolume_curve(r, step)
-        .into_iter()
-        .find(|&(_, hv)| hv >= target)
-        .map(|(sims, _)| sims)
-}
-
-/// Hypervolume `log`'s run attained within `budget` simulations.
-fn hv_at(log: &RunLog, r: &RefPoint, budget: u64) -> f64 {
-    let pts: Vec<_> = log
-        .records
+/// Simulations a run needed to first reach hypervolume `target` on its
+/// hypervolume `curve`.
+fn sims_to_reach(curve: &[(u64, f64)], target: f64) -> Option<u64> {
+    curve
         .iter()
-        .take_while(|rec| rec.sims_after <= budget)
-        .map(|rec| rec.ppa)
-        .collect();
-    hypervolume(&pts, r)
+        .find(|&&(_, hv)| hv >= target)
+        .map(|&(sims, _)| sims)
 }
 
 fn main() {
@@ -81,21 +71,25 @@ fn main() {
         // Target hypervolume: a fraction of the best final value, so every
         // run has a chance to reach it (the paper picks the y where curves
         // begin to converge).
-        let best_final = logs
+        let curves: Vec<Vec<(u64, f64)>> = logs
             .iter()
-            .filter_map(|l| l.hypervolume_curve(&r, step).last().map(|&(_, hv)| hv))
+            .map(|log| log.hypervolume_curve(&r, step))
+            .collect();
+        let best_final = curves
+            .iter()
+            .filter_map(|c| c.last().map(|&(_, hv)| hv))
             .fold(0.0f64, f64::max);
         let target = target_frac * best_final;
         let budget_x = sim_budget * 2 / 3;
 
         // `logs[0]` is ArchRanker's run, the baseline of the ratios.
-        let ranker_sims = sims_to_reach(&logs[0], &r, target, step).unwrap_or(sim_budget);
-        let ranker_hv = hv_at(&logs[0], &r, budget_x);
+        let ranker_sims = sims_to_reach(&curves[0], target).unwrap_or(sim_budget);
+        let ranker_hv = logs[0].hypervolume(&r, budget_x);
 
         let mut t = Table::new(["method", "sims@target", "ratio", "hv@budget", "ratio"]);
-        for log in &logs {
-            let sims = sims_to_reach(log, &r, target, step);
-            let hv = hv_at(log, &r, budget_x);
+        for (log, curve) in logs.iter().zip(&curves) {
+            let sims = sims_to_reach(curve, target);
+            let hv = log.hypervolume(&r, budget_x);
             t.row([
                 log.method.clone(),
                 sims.map_or("never".to_string(), |s| s.to_string()),

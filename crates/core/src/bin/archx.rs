@@ -212,17 +212,15 @@ fn cmd_explore(kv: &HashMap<String, String>) -> Result<(), String> {
         best.ppa.area_mm2,
         best.ppa.tradeoff()
     );
-    println!("Pareto frontier ({} designs):", log.frontier().len());
-    for (arch, ppa) in log.frontier() {
+    let frontier = log.frontier();
+    println!("Pareto frontier ({} designs):", frontier.len());
+    for (arch, ppa) in frontier {
         println!(
             "  ipc={:.4} power={:.4} area={:.4}  {}",
             ppa.ipc, ppa.power_w, ppa.area_mm2, arch
         );
     }
-    let hv = hypervolume(
-        &log.records.iter().map(|r| r.ppa).collect::<Vec<_>>(),
-        &RefPoint::default(),
-    );
+    let hv = log.hypervolume(&RefPoint::default(), u64::MAX);
     println!("Pareto hypervolume: {hv:.4}");
     Ok(())
 }
@@ -274,13 +272,7 @@ fn cmd_campaign(kv: &HashMap<String, String>) -> Result<(), String> {
         .run_specs(&specs, &DesignSpace::table4(), &template, sim_budget)
         .map_err(|e| e.to_string())?;
 
-    let r = RefPoint::default();
-    let hv_of = |log: &RunLog| {
-        hypervolume(
-            &log.records.iter().map(|rec| rec.ppa).collect::<Vec<_>>(),
-            &r,
-        )
-    };
+    let hv_of = |log: &RunLog| log.hypervolume(&RefPoint::default(), u64::MAX);
     println!(
         "{:<24} {:>8} {:>10} {:>12} {:>12}",
         "run", "designs", "sims", "best P2/PA", "hypervolume"

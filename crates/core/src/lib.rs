@@ -66,9 +66,9 @@ pub mod prelude {
         aggregate_curves, default_threads, hypervolume, journal_run, pareto_front,
         run_archexplorer, run_journal_path, run_method_on, run_verify, Analysis,
         ArchExplorerOptions, CampaignError, CampaignRunner, DesignEval, DesignSpace, EvalError,
-        EvalFailure, Evaluator, EvaluatorBuilder, ExplorationSet, Journal, JournalError,
-        JournalFingerprint, JournalRecord, Method, ParamId, QuarantineEntry, RefPoint, RunLog,
-        RunSpec, SimLimits, SweepCurve, VerifyConfig, VerifyReport, Violation,
+        EvalFailure, Evaluator, EvaluatorBuilder, Journal, JournalError, JournalFingerprint,
+        JournalRecord, Method, ParamId, QuarantineEntry, RefPoint, RunLog, RunSpec, SimLimits,
+        SweepCurve, VerifyConfig, VerifyReport, Violation,
     };
     pub use archx_power::{PowerModel, PpaResult};
     pub use archx_sim::{MicroArch, OooCore, SimStats};

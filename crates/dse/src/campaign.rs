@@ -237,34 +237,12 @@ pub enum CampaignError {
         /// What went wrong.
         error: JournalError,
     },
-    /// Two seeds of one method disagreed on a hypervolume-curve budget
-    /// coordinate — their curves cannot be aggregated point-by-point.
-    BudgetMisaligned {
-        /// Method whose curves disagree.
-        method: String,
-        /// Index of the first disagreeing point.
-        index: usize,
-        /// Coordinate of the first seed's curve at that index.
-        expected: u64,
-        /// The disagreeing coordinate.
-        found: u64,
-    },
 }
 
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CampaignError::Journal { run, error } => write!(f, "campaign run {run}: {error}"),
-            CampaignError::BudgetMisaligned {
-                method,
-                index,
-                expected,
-                found,
-            } => write!(
-                f,
-                "sweep[{method}]: seeds disagree on budget coordinate at point {index} \
-                 ({expected} vs {found}); curves were sampled on different grids"
-            ),
         }
     }
 }
@@ -390,44 +368,6 @@ impl CampaignRunner {
         .into_iter()
         .collect()
     }
-
-    /// Runs `methods` across `seeds` and aggregates each method's
-    /// hypervolume curve on the shared budget grid (see
-    /// [`aggregate_curves`] for the truncation accounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `seeds` is empty or `step` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep(
-        &self,
-        methods: &[Method],
-        space: &DesignSpace,
-        template: &EvaluatorBuilder,
-        sim_budget: u64,
-        seeds: &[u64],
-        r: &RefPoint,
-        step: u64,
-    ) -> Result<Vec<SweepCurve>, CampaignError> {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        assert!(step > 0, "step must be positive");
-        let specs: Vec<RunSpec> = methods
-            .iter()
-            .flat_map(|&method| seeds.iter().map(move |&seed| RunSpec { method, seed }))
-            .collect();
-        let logs = self.run_specs(&specs, space, template, sim_budget)?;
-        methods
-            .iter()
-            .enumerate()
-            .map(|(mi, &method)| {
-                let curves: Vec<Vec<(u64, f64)>> = logs[mi * seeds.len()..(mi + 1) * seeds.len()]
-                    .iter()
-                    .map(|log| log.hypervolume_curve(r, step))
-                    .collect();
-                aggregate_curves(&method.to_string(), &curves)
-            })
-            .collect()
-    }
 }
 
 /// Mean ± standard deviation of one method's hypervolume curve over
@@ -441,36 +381,27 @@ pub struct SweepCurve {
     pub points: Vec<(u64, f64, f64)>,
 }
 
-/// Aggregates one method's per-seed hypervolume curves (mean ± std per
-/// budget point) on their **shared budget grid**.
+/// Aggregates one method's per-seed runs into its hypervolume curve
+/// (mean ± std per budget point), every run sampled at each multiple of
+/// `step` ([`RunLog::hypervolume_curve`]).
 ///
-/// Seeds can produce curves of different lengths — a search that stops
-/// early (plateau, quarantine) spends fewer simulations, so its curve has
+/// Seeds can produce curves of different lengths — a search whose last
+/// designs were quarantined logs its last record early, so its curve has
 /// fewer points. Aggregation uses the shared prefix of the grid; tail
 /// points beyond it are dropped **with accounting** (telemetry counter
 /// `campaign/sweep/dropped_tail_points` plus a stderr warning), never
-/// silently. Every curve's coordinates are verified against the grid:
-/// seeds that disagree on a budget coordinate are an error
-/// ([`CampaignError::BudgetMisaligned`]), not a garbage mean.
-pub fn aggregate_curves(
-    method: &str,
-    curves: &[Vec<(u64, f64)>],
-) -> Result<SweepCurve, CampaignError> {
-    assert!(!curves.is_empty(), "need at least one curve");
+/// silently.
+///
+/// # Panics
+///
+/// Panics when `logs` is empty or `step` is zero.
+pub fn aggregate_curves(method: &str, logs: &[RunLog], r: &RefPoint, step: u64) -> SweepCurve {
+    assert!(!logs.is_empty(), "need at least one run");
+    let curves: Vec<Vec<(u64, f64)>> = logs
+        .iter()
+        .map(|log| log.hypervolume_curve(r, step))
+        .collect();
     let shared = curves.iter().map(Vec::len).min().unwrap_or(0);
-    for i in 0..shared {
-        let expected = curves[0][i].0;
-        for curve in curves {
-            if curve[i].0 != expected {
-                return Err(CampaignError::BudgetMisaligned {
-                    method: method.to_string(),
-                    index: i,
-                    expected,
-                    found: curve[i].0,
-                });
-            }
-        }
-    }
     let dropped: usize = curves.iter().map(|c| c.len() - shared).sum();
     if dropped > 0 {
         telemetry::counter_add("campaign/sweep/dropped_tail_points", dropped as u64);
@@ -487,16 +418,18 @@ pub fn aggregate_curves(
         let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
         points.push((sims, mean, var.sqrt()));
     }
-    Ok(SweepCurve {
+    SweepCurve {
         method: method.to_string(),
         points,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::SimLimits;
+    use archx_power::PpaResult;
+    use archx_sim::MicroArch;
     use archx_workloads::spec06_suite;
 
     /// Two workloads, serial evaluation, the given window and trace seed.
@@ -569,19 +502,17 @@ mod tests {
 
     #[test]
     fn sweep_aggregates_across_seeds() {
-        let curves = CampaignRunner::new()
-            .sweep(
-                &[Method::Random],
-                &DesignSpace::table4(),
-                &template(600, 0),
-                12,
-                &[1, 2, 3],
-                &RefPoint::default(),
-                4,
-            )
-            .expect("aligned grids");
-        assert_eq!(curves.len(), 1);
-        let c = &curves[0];
+        let specs: Vec<RunSpec> = [1u64, 2, 3]
+            .iter()
+            .map(|&seed| RunSpec {
+                method: Method::Random,
+                seed,
+            })
+            .collect();
+        let logs = CampaignRunner::new()
+            .run_specs(&specs, &DesignSpace::table4(), &template(600, 0), 12)
+            .expect("runs");
+        let c = aggregate_curves("Random", &logs, &RefPoint::default(), 4);
         assert!(!c.points.is_empty());
         for &(_, mean, std) in &c.points {
             assert!(mean >= 0.0 && std >= 0.0);
@@ -593,49 +524,42 @@ mod tests {
 
     #[test]
     fn aggregate_uses_shared_grid_and_counts_dropped_tail() {
-        // Seed 2 stopped early: its curve is one point short. The mean at
-        // shared points must use every seed, and the tail is dropped with
-        // accounting, not silently.
-        let curves = vec![
-            vec![(4, 1.0), (8, 2.0), (12, 3.0)],
-            vec![(4, 3.0), (8, 4.0)],
-        ];
+        // The second run's last design came at 8 simulations: its curve is
+        // one point short. The mean at shared points must use every run,
+        // and the tail is dropped with accounting, not silently.
+        let ppa = |ipc: f64| PpaResult {
+            ipc,
+            power_w: 0.2,
+            area_mm2: 5.0,
+        };
+        let mut long = RunLog::new("Random");
+        let mut short = RunLog::new("Random");
+        for (sims, ipc) in [(4, 0.5), (8, 1.0), (12, 1.5)] {
+            long.push(MicroArch::baseline(), ppa(ipc), sims);
+        }
+        for (sims, ipc) in [(4, 1.0), (8, 2.0)] {
+            short.push(MicroArch::baseline(), ppa(ipc), sims);
+        }
+        let r = RefPoint::default();
         let before = archx_telemetry::global()
             .report()
             .counter("campaign/sweep/dropped_tail_points");
-        let agg = aggregate_curves("Random", &curves).expect("aligned");
+        let logs = [long, short];
+        let agg = aggregate_curves("Random", &logs, &r, 4);
         let after = archx_telemetry::global()
             .report()
             .counter("campaign/sweep/dropped_tail_points");
-        assert_eq!(agg.points.len(), 2);
-        assert_eq!(agg.points[0].0, 4);
-        assert_eq!(agg.points[1].0, 8);
-        assert!((agg.points[0].1 - 2.0).abs() < 1e-12);
-        assert!((agg.points[1].1 - 3.0).abs() < 1e-12);
-        assert!((agg.points[0].2 - 1.0).abs() < 1e-12);
-        assert!(after > before, "dropped tail must be counted");
-    }
-
-    #[test]
-    fn aggregate_rejects_misaligned_budget_coordinates() {
-        // The second seed was sampled on a different grid: hard error,
-        // not a mean of apples and oranges.
-        let curves = vec![vec![(4, 1.0), (8, 2.0)], vec![(5, 1.0), (10, 2.0)]];
-        let err = aggregate_curves("Random", &curves).expect_err("misaligned");
-        match err {
-            CampaignError::BudgetMisaligned {
-                method,
-                index,
-                expected,
-                found,
-            } => {
-                assert_eq!(method, "Random");
-                assert_eq!(index, 0);
-                assert_eq!(expected, 4);
-                assert_eq!(found, 5);
-            }
-            other => panic!("wrong error: {other}"),
+        assert_eq!(
+            agg.points.iter().map(|p| p.0).collect::<Vec<_>>(),
+            vec![4, 8],
+            "aggregation uses the shared budget grid"
+        );
+        for &(sims, mean, std) in &agg.points {
+            let (a, b) = (logs[0].hypervolume(&r, sims), logs[1].hypervolume(&r, sims));
+            assert!((mean - (a + b) / 2.0).abs() < 1e-12);
+            assert!((std - (a - b).abs() / 2.0).abs() < 1e-12);
         }
+        assert!(after > before, "dropped tail must be counted");
     }
 
     #[test]

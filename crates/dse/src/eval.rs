@@ -24,7 +24,7 @@
 use crate::campaign::{borrow_threads, return_threads};
 use crate::journal::{Journal, JournalFingerprint, JournalRecord};
 use crate::lock;
-use crate::pareto::{ExplorationSet, RefPoint};
+use crate::pareto::{hypervolume, RefPoint};
 use archx_deg::{fused, merge_reports, BottleneckReport};
 use archx_power::{PowerModel, PpaResult};
 use archx_sim::isa::Instruction;
@@ -197,8 +197,16 @@ struct ProgressMeta {
     source: String,
     sim_budget: u64,
     sink: Option<Arc<dyn ProgressSink>>,
-    set: ExplorationSet,
+    points: Vec<PpaResult>,
     best_tradeoff: f64,
+}
+
+impl ProgressMeta {
+    /// Adds a successfully evaluated design to the frontier statistics.
+    fn record(&mut self, ppa: PpaResult) {
+        self.points.push(ppa);
+        self.best_tradeoff = self.best_tradeoff.max(ppa.tradeoff());
+    }
 }
 
 impl Default for ProgressMeta {
@@ -207,7 +215,7 @@ impl Default for ProgressMeta {
             source: "eval".to_string(),
             sim_budget: 0,
             sink: None,
-            set: ExplorationSet::new(),
+            points: Vec::new(),
             best_tradeoff: 0.0,
         }
     }
@@ -462,23 +470,28 @@ impl Evaluator {
     /// first asks for it, not here, so a resumed deterministic search sees
     /// the budget of the uninterrupted run at every step, re-walks the
     /// whole replayed prefix (even one that spent the entire budget) and
-    /// simulates only past it. Returns the simulations the records hold.
+    /// simulates only past it. Replayed successes join the progress
+    /// frontier in journal order, so the progress events of the resumed
+    /// run are those of the uninterrupted run. Returns the simulations
+    /// the records hold.
     pub fn warm_start(&self, records: Vec<JournalRecord>) -> u64 {
         let replayed = records.len() as u64;
         let mut sims = 0u64;
         {
             let mut cache = lock(&self.cache);
             let mut costs = lock(&self.replay_costs);
+            let mut meta = lock(&self.progress);
             for rec in records {
                 sims += rec.sims_cost;
                 *costs.entry(rec.arch).or_default() += rec.sims_cost;
-                if let Err(failure) = &rec.outcome {
-                    lock(&self.quarantine).push(QuarantineEntry {
+                match &rec.outcome {
+                    Ok(eval) => meta.record(eval.ppa),
+                    Err(failure) => lock(&self.quarantine).push(QuarantineEntry {
                         arch: rec.arch,
                         workload: failure.workload.clone(),
                         error: failure.error.clone(),
                         attempts: failure.attempts,
-                    });
+                    }),
                 }
                 cache.insert(rec.arch, rec.outcome);
             }
@@ -753,8 +766,7 @@ impl Evaluator {
     fn emit_progress(&self, ppa: PpaResult) {
         let (event, sink) = {
             let mut meta = lock(&self.progress);
-            meta.set.push(ppa);
-            meta.best_tradeoff = meta.best_tradeoff.max(ppa.tradeoff());
+            meta.record(ppa);
             let Some(sink) = meta.sink.clone() else {
                 return;
             };
@@ -762,7 +774,7 @@ impl Evaluator {
                 source: meta.source.clone(),
                 sims_done: self.sim_count(),
                 sim_budget: meta.sim_budget,
-                hypervolume: meta.set.hypervolume(&RefPoint::default()),
+                hypervolume: hypervolume(&meta.points, &RefPoint::default()),
                 best_tradeoff: meta.best_tradeoff,
             };
             (event, sink)
@@ -823,28 +835,27 @@ impl RunLog {
         });
     }
 
+    /// Hypervolume (Eq. 3) of the designs the run had logged within
+    /// `sims` simulations: the records with `sims_after <= sims`.
+    /// `u64::MAX` covers the whole run.
+    pub fn hypervolume(&self, r: &RefPoint, sims: u64) -> f64 {
+        let pts: Vec<PpaResult> = self
+            .records
+            .iter()
+            .take_while(|rec| rec.sims_after <= sims)
+            .map(|rec| rec.ppa)
+            .collect();
+        hypervolume(&pts, r)
+    }
+
     /// Hypervolume as a function of cumulative simulations, sampled at
-    /// each multiple of `step`.
-    pub fn hypervolume_curve(&self, r: &crate::pareto::RefPoint, step: u64) -> Vec<(u64, f64)> {
+    /// each multiple of `step` up to the run's last record.
+    pub fn hypervolume_curve(&self, r: &RefPoint, step: u64) -> Vec<(u64, f64)> {
         assert!(step > 0, "step must be positive");
-        let mut curve = Vec::new();
-        let max_sims = self.records.last().map_or(0, |r| r.sims_after);
-        let mut set = ExplorationSet::new();
-        let mut it = self.records.iter().peekable();
-        let mut budget = step;
-        while budget <= max_sims {
-            while let Some(rec) = it.peek() {
-                if rec.sims_after <= budget {
-                    set.push(rec.ppa);
-                    it.next();
-                } else {
-                    break;
-                }
-            }
-            curve.push((budget, set.hypervolume(r)));
-            budget += step;
-        }
-        curve
+        let max_sims = self.records.last().map_or(0, |rec| rec.sims_after);
+        (1..=max_sims / step)
+            .map(|k| (k * step, self.hypervolume(r, k * step)))
+            .collect()
     }
 
     /// Pareto frontier over all records: `(arch, ppa)` pairs.
@@ -960,16 +971,10 @@ mod tests {
 
         let events = sink.events();
         assert_eq!(events.len(), 1, "no event before the sink was attached");
-        let mut all = ExplorationSet::new();
-        let mut last = ExplorationSet::new();
-        for &ppa in &ppas {
-            all.push(ppa);
-        }
-        last.push(ppas[2]);
         let r = RefPoint::default();
-        assert_eq!(events[0].hypervolume, all.hypervolume(&r));
+        assert_eq!(events[0].hypervolume, hypervolume(&ppas, &r));
         assert!(
-            events[0].hypervolume > last.hypervolume(&r),
+            events[0].hypervolume > hypervolume(&ppas[2..], &r),
             "the earlier points widen the frontier"
         );
         let best = ppas.iter().map(|p| p.tradeoff()).fold(0.0, f64::max);
@@ -1104,6 +1109,77 @@ mod tests {
     }
 
     #[test]
+    fn resumed_progress_events_are_the_tail_of_the_uninterrupted_run() {
+        let dir = std::env::temp_dir().join(format!("archx-eval-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("resume-progress.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut narrow = MicroArch::baseline();
+        narrow.width = 2;
+        let designs = [MicroArch::tiny(), MicroArch::baseline(), narrow];
+        let run = |ev: &Evaluator| {
+            let sink = Arc::new(telemetry::CollectingSink::new());
+            ev.set_progress_target("test", 6);
+            ev.set_progress_sink(sink.clone());
+            for arch in &designs {
+                ev.evaluate(arch).expect("evaluates");
+            }
+            sink.events()
+        };
+
+        let ev = small_eval();
+        ev.set_journal(Journal::create(&path, &ev.fingerprint(Vec::new())).unwrap());
+        let full = run(&ev);
+        assert_eq!(full.len(), designs.len());
+
+        // Resume from the first two evaluations only: the third design is
+        // simulated anew, against the frontier of all three.
+        let ev2 = small_eval();
+        let (_, mut records) = Journal::resume(&path, &ev2.fingerprint(Vec::new())).unwrap();
+        records.truncate(2);
+        ev2.warm_start(records);
+        let resumed = run(&ev2);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(resumed.len(), 1, "replayed designs emit no event");
+        assert_eq!(resumed[..], full[2..], "the replayed designs count");
+    }
+
+    #[test]
+    fn runlog_hypervolume_takes_the_records_within_the_budget() {
+        let ppas = [
+            PpaResult {
+                ipc: 0.5,
+                power_w: 0.3,
+                area_mm2: 4.0,
+            },
+            PpaResult {
+                ipc: 1.0,
+                power_w: 0.6,
+                area_mm2: 6.0,
+            },
+            PpaResult {
+                ipc: 0.8,
+                power_w: 0.2,
+                area_mm2: 8.0,
+            },
+        ];
+        let mut log = RunLog::new("test");
+        for (k, &ppa) in ppas.iter().enumerate() {
+            log.push(MicroArch::baseline(), ppa, 2 * (k as u64 + 1));
+        }
+        let r = RefPoint::default();
+        let prefix: Vec<f64> = (1..=3).map(|n| hypervolume(&ppas[..n], &r)).collect();
+        assert!(prefix[0] < prefix[1] && prefix[1] < prefix[2]);
+        assert_eq!(log.hypervolume(&r, 3).to_bits(), prefix[0].to_bits());
+        assert_eq!(log.hypervolume(&r, 4).to_bits(), prefix[1].to_bits());
+        assert_eq!(log.hypervolume(&r, u64::MAX).to_bits(), prefix[2].to_bits());
+        assert_eq!(
+            log.hypervolume_curve(&r, 2),
+            vec![(2, prefix[0]), (4, prefix[1]), (6, prefix[2])]
+        );
+    }
+
+    #[test]
     fn runlog_curve_is_monotone() {
         let mut log = RunLog::new("test");
         let mk = |ipc: f64| PpaResult {
@@ -1114,7 +1190,7 @@ mod tests {
         log.push(MicroArch::baseline(), mk(0.5), 2);
         log.push(MicroArch::baseline(), mk(1.0), 4);
         log.push(MicroArch::baseline(), mk(0.8), 6);
-        let curve = log.hypervolume_curve(&crate::pareto::RefPoint::default(), 2);
+        let curve = log.hypervolume_curve(&RefPoint::default(), 2);
         assert_eq!(curve.len(), 3);
         for w in curve.windows(2) {
             assert!(w[1].1 >= w[0].1, "hypervolume must be non-decreasing");

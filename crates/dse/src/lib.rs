@@ -117,7 +117,7 @@ pub use eval::{
     RunLog, SimLimits,
 };
 pub use journal::{Journal, JournalError, JournalFingerprint, JournalRecord};
-pub use pareto::{hypervolume, pareto_front, ExplorationSet, RefPoint};
+pub use pareto::{hypervolume, pareto_front, RefPoint};
 pub use space::{DesignSpace, ParamId};
 pub use verify::{run_verify, VerifyConfig, VerifyReport, Violation};
 

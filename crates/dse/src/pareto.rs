@@ -128,43 +128,6 @@ fn area2d(points: &[[f64; 2]]) -> f64 {
     area
 }
 
-/// Maintains the frontier of all explored designs and exposes the
-/// hypervolume-versus-simulations curve.
-#[derive(Debug, Clone, Default)]
-pub struct ExplorationSet {
-    points: Vec<PpaResult>,
-}
-
-impl ExplorationSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an evaluated design.
-    pub fn push(&mut self, ppa: PpaResult) {
-        self.points.push(ppa);
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[PpaResult] {
-        &self.points
-    }
-
-    /// Current Pareto-frontier points.
-    pub fn frontier(&self) -> Vec<PpaResult> {
-        pareto_front(&self.points)
-            .into_iter()
-            .map(|i| self.points[i])
-            .collect()
-    }
-
-    /// Hypervolume of the set explored so far.
-    pub fn hypervolume(&self, r: &RefPoint) -> f64 {
-        hypervolume(&self.points, r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,17 +241,5 @@ mod tests {
         let hv = hypervolume(&pts, &r);
         assert!(hv.is_finite());
         assert!((hv - hypervolume(&[good], &r)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exploration_set_tracks_frontier() {
-        let mut set = ExplorationSet::new();
-        set.push(p(1.0, 0.3, 6.0));
-        set.push(p(2.0, 0.2, 5.0));
-        set.push(p(0.5, 0.5, 8.0));
-        let f = set.frontier();
-        assert_eq!(f.len(), 1);
-        assert!((f[0].ipc - 2.0).abs() < 1e-12);
-        assert!(set.hypervolume(&RefPoint::default()) > 0.0);
     }
 }

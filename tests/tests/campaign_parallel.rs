@@ -1,8 +1,8 @@
 //! Determinism of the parallel campaign layer: fanning runs out across
 //! job threads that share the template's thread budget, and lend idle
 //! threads to each other's workload simulations, must not change a
-//! single byte of any result — logs, sweep curves, and journal contents
-//! are identical to a sequential run, and per-run journal files let
+//! single byte of any result — logs and journal contents are identical
+//! to a sequential run, and per-run journal files let
 //! `--journal`/`--resume` work when runs execute concurrently.
 
 use archexplorer::dse::campaign::{
@@ -97,34 +97,6 @@ fn campaign_runs_equal_run_method_on_a_fresh_evaluator_from_the_template() {
 }
 
 #[test]
-fn parallel_sweep_matches_sequential_sweep() {
-    let template = template();
-    let budget = 8;
-    let space = DesignSpace::table4();
-    let methods = [Method::Random, Method::ArchExplorer];
-    let seeds = [1u64, 2, 3];
-    let r = RefPoint::default();
-
-    let serial = CampaignRunner::new()
-        .sweep(&methods, &space, &template, budget, &seeds, &r, 4)
-        .expect("serial sweep");
-    let parallel = CampaignRunner::new()
-        .jobs(3)
-        .sweep(
-            &methods,
-            &space,
-            &template.clone().threads(3),
-            budget,
-            &seeds,
-            &r,
-            4,
-        )
-        .expect("parallel sweep");
-    assert_eq!(serial, parallel, "sweep curves must not depend on jobs");
-    assert_eq!(serial.len(), methods.len());
-}
-
-#[test]
 fn labelled_progress_attributes_interleaved_events_to_their_run() {
     let template = template();
     let budget = 6;
@@ -208,29 +180,4 @@ fn concurrent_runs_journal_to_distinct_files_and_resume() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sweep_reports_truncation_and_rejects_misalignment() {
-    use archexplorer::dse::campaign::{aggregate_curves, CampaignError};
-
-    // Shared-grid aggregation with dropped-tail accounting.
-    let curves = vec![
-        vec![(4, 1.0), (8, 2.0), (12, 4.0)],
-        vec![(4, 2.0), (8, 3.0)],
-    ];
-    let agg = aggregate_curves("Random", &curves).expect("aligned prefix");
-    assert_eq!(
-        agg.points.iter().map(|p| p.0).collect::<Vec<_>>(),
-        vec![4, 8],
-        "aggregation uses the shared budget grid"
-    );
-    assert!((agg.points[1].1 - 2.5).abs() < 1e-12);
-
-    // Coordinate disagreement is an error, not a silent bad mean.
-    let misaligned = vec![vec![(4, 1.0)], vec![(6, 1.0)]];
-    match aggregate_curves("Random", &misaligned) {
-        Err(CampaignError::BudgetMisaligned { index, .. }) => assert_eq!(index, 0),
-        other => panic!("expected BudgetMisaligned, got {other:?}"),
-    }
 }
