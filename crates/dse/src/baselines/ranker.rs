@@ -46,21 +46,10 @@ pub fn run_archranker(
         initial,
         &SCHEDULE,
         |x, y| {
-            // All ordered pairs with distinct outcomes become training data.
-            let mut pairs: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
-            for i in 0..y.len() {
-                for j in i + 1..y.len() {
-                    if y[i] > y[j] {
-                        pairs.push((x[i].clone(), x[j].clone()));
-                    } else if y[j] > y[i] {
-                        pairs.push((x[j].clone(), x[i].clone()));
-                    }
-                }
-            }
+            let pairs = training_pairs(x, y);
             if pairs.is_empty() {
                 return None;
             }
-            pairs.truncate(MAX_PAIRS);
             let ranker = RankBoost::fit(&pairs, ROUNDS);
             // Rank candidates by wins against the best incumbents.
             let mut order: Vec<usize> = (0..y.len()).collect();
@@ -79,10 +68,54 @@ pub fn run_archranker(
     )
 }
 
+/// The training data: ordered `(better, worse)` feature pairs of designs
+/// with distinct outcomes, enumerated over `i < j` and cut at
+/// `MAX_PAIRS`. Only the pairs kept are cloned.
+fn training_pairs(x: &[Vec<f64>], y: &[f64]) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..y.len())
+        .flat_map(|i| (i + 1..y.len()).map(move |j| (i, j)))
+        .filter_map(|(i, j)| {
+            if y[i] > y[j] {
+                Some((i, j))
+            } else if y[j] > y[i] {
+                Some((j, i))
+            } else {
+                None
+            }
+        })
+        .take(MAX_PAIRS)
+        .map(|(better, worse)| (x[better].clone(), x[worse].clone()))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use archx_workloads::spec06_suite;
+    use rand::Rng;
+
+    #[test]
+    fn training_pairs_are_the_first_max_pairs_of_all_pairs() {
+        let mut rng = StdRng::seed_from_u64(80);
+        let x: Vec<Vec<f64>> = (0..80)
+            .map(|_| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        // Coarse outcomes, so some pairs tie and are skipped.
+        let y: Vec<f64> = (0..80).map(|_| rng.gen_range(0..40usize) as f64).collect();
+        let mut all = Vec::new();
+        for i in 0..y.len() {
+            for j in i + 1..y.len() {
+                if y[i] > y[j] {
+                    all.push((x[i].clone(), x[j].clone()));
+                } else if y[j] > y[i] {
+                    all.push((x[j].clone(), x[i].clone()));
+                }
+            }
+        }
+        assert!(all.len() > MAX_PAIRS);
+        all.truncate(MAX_PAIRS);
+        assert_eq!(training_pairs(&x, &y), all);
+    }
 
     #[test]
     fn respects_budget() {

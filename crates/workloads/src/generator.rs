@@ -231,7 +231,91 @@ impl WorkloadSpec {
     ///
     /// Deterministic in `(self, n, seed)`.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<Instruction> {
-        Synth::new(self, seed).generate(n)
+        self.synthesise(n, seed)
+    }
+
+    /// Synthesises `n` instructions straight into any collection: a
+    /// `Vec` here, the shared `Arc<[Instruction]>` in
+    /// [`crate::Workload::generate`]. The `0..n` range gives the iterator
+    /// an exact length, so `collect` allocates once and copies nothing.
+    pub(crate) fn synthesise<C: FromIterator<Instruction>>(&self, n: usize, seed: u64) -> C {
+        let mut synth = Synth::new(self, seed);
+        (0..n).map(|_| synth.next()).collect()
+    }
+}
+
+/// Registers the synthesiser allocates per class (2..30). Each recency
+/// list is always a permutation of them, so it holds exactly this many.
+const ALLOC_REGS: usize = 28;
+
+/// Buckets of the tabulated dependence-distance draw over `u` in `[0, 1)`.
+const DIST_BUCKETS: usize = 1024;
+
+/// Relative guard band around each distance threshold: a bucket that
+/// comes this close to one is drawn exactly.
+const DIST_GUARD: f64 = 1e-9;
+
+/// The geometric dependence-distance draw
+/// `ceil(ln u / ln(1 - 1/mean))`, clamped to `1..=ALLOC_REGS`, tabulated
+/// over `DIST_BUCKETS` equal buckets of `u`.
+///
+/// The distance steps from `k` to `k + 1` at `u = exp(k·ln_keep)`,
+/// `k = 1..ALLOC_REGS`. A bucket holding no such threshold (with its
+/// guard band) draws one distance for every `u` in it: the rounding
+/// error of `ln u / ln_keep` is a few ULPs, far too small to carry the
+/// quotient across an integer that far from its threshold. So the table
+/// stores the distance computed at the bucket's midpoint. A bucket that
+/// does hold a threshold stores 0, and its rare draws take the exact
+/// formula.
+struct DistDraw {
+    /// `ln(max(1 - 1/mean, 1e-12))`: the log of the per-step keep
+    /// probability.
+    ln_keep: f64,
+    /// The distance of every `u` in each bucket; 0 for mixed buckets.
+    table: [u8; DIST_BUCKETS],
+}
+
+impl DistDraw {
+    fn new(mean: f64) -> Self {
+        let mut draw = DistDraw {
+            ln_keep: (1.0 - 1.0 / mean).max(1e-12).ln(),
+            table: [0; DIST_BUCKETS],
+        };
+        let scale = DIST_BUCKETS as f64;
+        for b in 0..DIST_BUCKETS {
+            draw.table[b] = draw.exact((b as f64 + 0.5) / scale);
+        }
+        for k in 1..ALLOC_REGS {
+            let t = (k as f64 * draw.ln_keep).exp();
+            let lo = t * (1.0 - DIST_GUARD) * scale;
+            if lo < scale {
+                let hi = ((t * (1.0 + DIST_GUARD) * scale) as usize).min(DIST_BUCKETS - 1);
+                draw.table[lo as usize..=hi].fill(0);
+            }
+        }
+        draw
+    }
+
+    /// The distance drawn by `u` in `[0, 1)`.
+    fn sample(&self, u: f64) -> usize {
+        let u = u.max(1e-12);
+        // Scaling by a power of two is exact: the bucket is `floor(u·1024)`.
+        match self.table[(u * DIST_BUCKETS as f64) as usize] {
+            0 => self.exact(u),
+            d => d,
+        }
+        .into()
+    }
+
+    /// The formula itself, with an integer ceiling.
+    fn exact(&self, u: f64) -> u8 {
+        let x = u.ln() / self.ln_keep;
+        if x > (ALLOC_REGS - 1) as f64 {
+            return ALLOC_REGS as u8;
+        }
+        // Saturating cast: NaN and negative quotients give 0, then 1.
+        let t = x as u8;
+        (t + u8::from(f64::from(t) < x)).max(1)
     }
 }
 
@@ -255,15 +339,19 @@ struct Synth<'a> {
     spec: &'a WorkloadSpec,
     rng: XorShift,
     slots: Vec<SlotKind>,
+    /// The slot the walk emits next.
+    slot: usize,
     /// Per-slot visit counters (for patterned branches).
     visits: Vec<u64>,
     /// Streaming pointer for sequential accesses.
     stream_ptr: u64,
-    /// Call stack of return addresses for call/ret pairing.
-    call_stack: Vec<u64>,
+    /// Call stack of return slots for call/ret pairing.
+    call_stack: Vec<usize>,
     /// Recently written registers per class, most recent last.
-    recent_int: Vec<u8>,
-    recent_fp: Vec<u8>,
+    recent_int: [u8; ALLOC_REGS],
+    recent_fp: [u8; ALLOC_REGS],
+    /// The dependence-distance draw for `spec.mean_dep_distance`.
+    dist: DistDraw,
 }
 
 impl<'a> Synth<'a> {
@@ -313,15 +401,18 @@ impl<'a> Synth<'a> {
             };
             slots.push(kind);
         }
+        let allocatable = std::array::from_fn(|i| i as u8 + 2);
         Synth {
             spec,
             rng,
             visits: vec![0; slots.len()],
             slots,
+            slot: 0,
             stream_ptr: 0x1_0000,
             call_stack: Vec::new(),
-            recent_int: (2..30).collect(),
-            recent_fp: (2..30).collect(),
+            recent_int: allocatable,
+            recent_fp: allocatable,
+            dist: DistDraw::new(spec.mean_dep_distance),
         }
     }
 
@@ -332,35 +423,23 @@ impl<'a> Synth<'a> {
     /// Picks a source register whose last writer is roughly
     /// `mean_dep_distance` instructions back (geometric distribution).
     fn pick_src(&mut self, class: RegClass) -> Reg {
-        let mean = self.spec.mean_dep_distance;
-        // Geometric sample: distance >= 1.
-        let p = 1.0 / mean;
-        let u = self.rng.unit().max(1e-12);
-        let dist = (u.ln() / (1.0 - p).max(1e-12).ln()).ceil().max(1.0) as usize;
-        let recent = match class {
-            RegClass::Int => &self.recent_int,
-            RegClass::Fp => &self.recent_fp,
-        };
-        let idx = recent.len().saturating_sub(dist.min(recent.len()));
-        let r = recent[idx.min(recent.len() - 1)];
+        // Geometric sample: distance in 1..=ALLOC_REGS.
+        let dist = self.dist.sample(self.rng.unit());
         match class {
-            RegClass::Int => Reg::int(r),
-            RegClass::Fp => Reg::fp(r),
+            RegClass::Int => Reg::int(self.recent_int[ALLOC_REGS - dist]),
+            RegClass::Fp => Reg::fp(self.recent_fp[ALLOC_REGS - dist]),
         }
     }
 
     fn pick_dst(&mut self, class: RegClass) -> Reg {
-        let r = (self.rng.below(28) + 2) as u8;
+        let r = (self.rng.below(ALLOC_REGS as u64) + 2) as u8;
         let recent = match class {
             RegClass::Int => &mut self.recent_int,
             RegClass::Fp => &mut self.recent_fp,
         };
+        // `r` is in the list (a permutation): move it to the back.
         if let Some(pos) = recent.iter().position(|&x| x == r) {
-            recent.remove(pos);
-        }
-        recent.push(r);
-        if recent.len() > 28 {
-            recent.remove(0);
+            recent[pos..].rotate_left(1);
         }
         match class {
             RegClass::Int => Reg::int(r),
@@ -399,89 +478,88 @@ impl<'a> Synth<'a> {
     /// trace's instruction-fetch stream has the loops and temporal code
     /// locality of real programs, and the I-cache pressure is governed by
     /// the live code working set rather than a pathological linear sweep.
-    fn generate(mut self, n: usize) -> Vec<Instruction> {
-        let mut out = Vec::with_capacity(n);
+    ///
+    /// Each call emits the instruction at the current slot and moves the
+    /// walk on to its successor.
+    fn next(&mut self) -> Instruction {
         let span = self.slots.len();
-        let mut slot = 0usize;
-        while out.len() < n {
-            let pc = self.pc_of(slot);
-            let kind = self.slots[slot];
-            self.visits[slot] += 1;
-            let visit = self.visits[slot];
-            let mut next_slot = (slot + 1) % span;
-            let instr = match kind {
-                SlotKind::Op(op) => self.emit_op(pc, op),
-                SlotKind::Branch(bk) => {
-                    let taken = match bk {
-                        BranchKind::Biased(dir, bias) => {
-                            if self.rng.unit() < bias {
-                                dir
-                            } else {
-                                !dir
-                            }
+        let slot = self.slot;
+        let pc = self.pc_of(slot);
+        let kind = self.slots[slot];
+        self.visits[slot] += 1;
+        let visit = self.visits[slot];
+        let fall_through = if slot + 1 == span { 0 } else { slot + 1 };
+        let mut next_slot = fall_through;
+        let instr = match kind {
+            SlotKind::Op(op) => self.emit_op(pc, op),
+            SlotKind::Branch(bk) => {
+                let taken = match bk {
+                    BranchKind::Biased(dir, bias) => {
+                        if self.rng.unit() < bias {
+                            dir
+                        } else {
+                            !dir
                         }
-                        BranchKind::Patterned(period) => visit.is_multiple_of(period as u64),
-                        BranchKind::Random => self.rng.unit() < 0.5,
-                    };
-                    // Static target per slot: short backward edges are
-                    // loops, forward edges skip ahead. Derived from the
-                    // slot index so a location always jumps the same way.
-                    let h = (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let delta = 1 + (h % 24) as usize;
-                    let target_slot = if h & 0x100 != 0 {
-                        (slot + delta) % span
-                    } else {
-                        (slot + span - delta.min(slot.max(1))) % span
-                    };
-                    if taken {
-                        next_slot = target_slot;
                     }
-                    let src = self.pick_src(RegClass::Int);
-                    Instruction::branch(pc, src, taken, self.pc_of(target_slot))
-                }
-                SlotKind::Call if self.call_stack.len() < 48 && visit % 97 != 96 => {
-                    // Bounded call depth; a rare forced fall-through breaks
-                    // degenerate call/return orbits that would otherwise
-                    // repeat forever without touching a conditional branch.
-                    self.call_stack.push(((slot + 1) % span) as u64);
-                    // Static callee per site.
-                    let h = (slot as u64).wrapping_mul(0xD134_2543_DE82_EF95);
-                    let target_slot = (h % span as u64) as usize;
+                    BranchKind::Patterned(period) => visit.is_multiple_of(period as u64),
+                    BranchKind::Random => self.rng.unit() < 0.5,
+                };
+                // Static target per slot: short backward edges are
+                // loops, forward edges skip ahead. Derived from the
+                // slot index so a location always jumps the same way.
+                let h = (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let delta = 1 + (h % 24) as usize;
+                let target_slot = if h & 0x100 != 0 {
+                    (slot + delta) % span
+                } else {
+                    (slot + span - delta.min(slot.max(1))) % span
+                };
+                if taken {
                     next_slot = target_slot;
+                }
+                let src = self.pick_src(RegClass::Int);
+                Instruction::branch(pc, src, taken, self.pc_of(target_slot))
+            }
+            SlotKind::Call if self.call_stack.len() < 48 && visit % 97 != 96 => {
+                // Bounded call depth; a rare forced fall-through breaks
+                // degenerate call/return orbits that would otherwise
+                // repeat forever without touching a conditional branch.
+                self.call_stack.push(fall_through);
+                // Static callee per site.
+                let h = (slot as u64).wrapping_mul(0xD134_2543_DE82_EF95);
+                let target_slot = (h % span as u64) as usize;
+                next_slot = target_slot;
+                Instruction {
+                    pc,
+                    op: OpClass::Call,
+                    srcs: [None, None],
+                    dst: Some(Reg::int(1)),
+                    mem_addr: 0,
+                    taken: true,
+                    target: self.pc_of(target_slot),
+                }
+            }
+            SlotKind::Call => self.emit_op(pc, OpClass::IntAlu),
+            SlotKind::Ret => {
+                if let Some(ret_slot) = self.call_stack.pop() {
+                    next_slot = ret_slot;
                     Instruction {
                         pc,
-                        op: OpClass::Call,
-                        srcs: [None, None],
-                        dst: Some(Reg::int(1)),
+                        op: OpClass::Ret,
+                        srcs: [Some(Reg::int(1)), None],
+                        dst: None,
                         mem_addr: 0,
                         taken: true,
-                        target: self.pc_of(target_slot),
+                        target: self.pc_of(ret_slot),
                     }
+                } else {
+                    // No matching call in this window: plain op.
+                    self.emit_op(pc, OpClass::IntAlu)
                 }
-                SlotKind::Call => self.emit_op(pc, OpClass::IntAlu),
-                SlotKind::Ret => {
-                    if let Some(ret_slot) = self.call_stack.pop() {
-                        let ret_slot = ret_slot as usize % span;
-                        next_slot = ret_slot;
-                        Instruction {
-                            pc,
-                            op: OpClass::Ret,
-                            srcs: [Some(Reg::int(1)), None],
-                            dst: None,
-                            mem_addr: 0,
-                            taken: true,
-                            target: self.pc_of(ret_slot),
-                        }
-                    } else {
-                        // No matching call in this window: plain op.
-                        self.emit_op(pc, OpClass::IntAlu)
-                    }
-                }
-            };
-            out.push(instr);
-            slot = next_slot;
-        }
-        out
+            }
+        };
+        self.slot = next_slot;
+        instr
     }
 
     fn emit_op(&mut self, pc: u64, op: OpClass) -> Instruction {
@@ -517,6 +595,79 @@ impl<'a> Synth<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Means the distance draw is checked at: the edges (1 meets the
+    /// `1e-12` clamp, 1e9 and infinity round the keep probability towards
+    /// or to 1, and 0.5 lies below the valid range, which `generate` does
+    /// not check) and the suites' typical values.
+    const DRAW_MEANS: [f64; 10] = [1.0, 1.5, 2.0, 2.2, 6.0, 18.0, 40.0, 1e9, f64::INFINITY, 0.5];
+
+    /// The untabulated draw, as the generator first wrote it.
+    fn reference_dist(u: f64, mean: f64) -> usize {
+        let u = u.max(1e-12);
+        let d = (u.ln() / (1.0 - 1.0 / mean).max(1e-12).ln())
+            .ceil()
+            .max(1.0) as usize;
+        d.min(ALLOC_REGS)
+    }
+
+    /// Checks the tabulated draw against the reference at `u` in `[0, 1)`.
+    fn check(draw: &DistDraw, mean: f64, u: f64) {
+        if (0.0..1.0).contains(&u) {
+            assert_eq!(
+                draw.sample(u),
+                reference_dist(u, mean),
+                "mean {mean}, u {u:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tabulated_distance_draw_equals_the_formula() {
+        let mut rng = XorShift::new(0xd157);
+        for mean in DRAW_MEANS {
+            let draw = DistDraw::new(mean);
+            let scale = DIST_BUCKETS as f64;
+            for b in 0..DIST_BUCKETS {
+                let edge = b as f64 / scale;
+                for u in [
+                    edge,
+                    edge.next_down(),
+                    edge.next_up(),
+                    (b as f64 + 0.5) / scale,
+                ] {
+                    check(&draw, mean, u);
+                }
+            }
+            for k in 1..=ALLOC_REGS {
+                let t = (k as f64 * draw.ln_keep).exp();
+                for eps in [0.0, 1e-15, 1e-12, 1e-9, 1e-6] {
+                    for u in [t * (1.0 - eps), t * (1.0 + eps)] {
+                        for u in [u, u.next_down(), u.next_up()] {
+                            check(&draw, mean, u);
+                        }
+                    }
+                }
+            }
+            for _ in 0..1_000_000 {
+                check(&draw, mean, rng.unit());
+            }
+        }
+    }
+
+    #[test]
+    fn few_buckets_take_the_exact_path() {
+        // The exact path is the exception: at the suites' means only a few
+        // buckets straddle a threshold.
+        for mean in [2.0, 6.0, 18.0] {
+            let mixed = DistDraw::new(mean)
+                .table
+                .iter()
+                .filter(|&&d| d == 0)
+                .count();
+            assert!(mixed <= ALLOC_REGS, "mean {mean}: {mixed} mixed buckets");
+        }
+    }
 
     #[test]
     fn balanced_spec_is_valid() {

@@ -56,7 +56,7 @@ impl Workload {
         let name_hash = self.id.0.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
         });
-        self.spec.generate(n, seed ^ name_hash).into()
+        self.spec.synthesise(n, seed ^ name_hash)
     }
 }
 
